@@ -49,7 +49,7 @@ def main():
 
     example = next(s for s in ds.sessions if len(s.queries) > 1)
     print(f"Example session {example.session_id}:")
-    for record, concepts in zip(example.queries, ds.concepts[example.session_id]):
+    for record, concepts in zip(example.queries, example.concepts):
         print(f"  {record.timestamp}  {record.query_text!r} -> {sorted(concepts)}")
 
     out = Path(__file__).parent / "out"

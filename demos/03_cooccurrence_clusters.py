@@ -34,7 +34,7 @@ def main():
     sessions = split_sessions(parse_log(DATA / "search_log.tsv").records, timedelta(minutes=30))
     ds = reduce_dataset(sessions, matcher)
 
-    graph = build_graph(ds)
+    graph = build_graph(ds.sessions)
     print(f"Co-occurrence graph: {len(graph.nodes)} concepts, {len(graph.edges)} edges.")
     for (a, b), w in sorted(graph.edges.items(), key=lambda kv: -kv[1]):
         print(f"  {a} -- {b}: {w}")

@@ -53,7 +53,7 @@ def main():
     matcher = ConceptMatcher.from_ontology(ontology, lexicon=load_lexicon(DATA / "lexicon.json"))
     sessions = split_sessions(parse_log(DATA / "search_log.tsv").records, timedelta(minutes=30))
     ds = reduce_dataset(sessions, matcher)
-    graph = prune(build_graph(ds), min_weight=2)
+    graph = prune(build_graph(ds.sessions), min_weight=2)
     clusters = copra_cluster(graph, CopraConfig(v=2, seed=42)).clusters
 
     for query in ("sunny beach day", "parks and playgrounds", "good restaurants", "mall hours"):

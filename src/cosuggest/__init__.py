@@ -29,7 +29,6 @@ from cosuggest.matching import (
     match_query,
     merge_lexicon,
     normalize,
-    session_concepts,
 )
 from cosuggest.log_pipeline import (
     LengthStats,
@@ -69,7 +68,6 @@ from cosuggest.evaluation import (
     FoldPlan,
     SessionOutcome,
     aggregate,
-    evaluate_session,
     f1_by_length,
     make_folds,
     run_experiment,
@@ -112,7 +110,6 @@ __all__ = [
     "compute_metrics",
     "config_hash",
     "copra_cluster",
-    "evaluate_session",
     "f1_by_length",
     "load_lexicon",
     "load_ontology",
@@ -131,7 +128,6 @@ __all__ = [
     "run_experiment",
     "run_experiment_on_dataset",
     "save_ontology",
-    "session_concepts",
     "session_length_stats",
     "split_sessions",
     "subset_by_facet",

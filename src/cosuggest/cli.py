@@ -18,18 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-from cosuggest.config import PipelineConfig, provenance, resolve_config
+from cosuggest.config import FIELD_NAMES, PipelineConfig, provenance, resolve_config
 from cosuggest.cooccurrence import build_graph, prune, read_graph_tsv, write_graph_tsv
-from cosuggest.copra import (
-    CopraConfig,
-    cluster_stats,
-    copra_cluster,
-    read_clusters_json,
-    write_clusters_json,
-)
+from cosuggest.copra import cluster_stats, copra_cluster, read_clusters_json, write_clusters_json
 from cosuggest.evaluation import (
     EvaluationReport,
     build_matcher,
+    copra_config,
     reduce_from_config,
     run_experiment_on_dataset,
 )
@@ -44,26 +39,7 @@ class UsageError(Exception):
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cli_values = {
-        key: getattr(args, key)
-        for key in (
-            "ontology_path",
-            "log_path",
-            "gap_minutes",
-            "prune_min_weight",
-            "copra_v",
-            "copra_max_iterations",
-            "seed",
-            "folds",
-            "excluded_facets",
-            "lexicon_path",
-            "empty_suggestion_precision",
-            "out",
-            "format",
-            "threads",
-        )
-        if hasattr(args, key)
-    }
+    cli_values = {key: getattr(args, key) for key in FIELD_NAMES if hasattr(args, key)}
     if cli_values.get("excluded_facets") is not None:
         cli_values["excluded_facets"] = tuple(cli_values["excluded_facets"])
     try:
@@ -138,9 +114,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     out = Path(config.out)
     _atomic_write(out, lambda p: write_reduced_ndjson(ds, p))
     _write_sidecar(out, config, "reduce")
+    stats = ds.stats
     print(
-        f"reduce: kept {ds.stats.sessions} sessions, {ds.stats.queries} queries, "
-        f"{ds.stats.users} users -> {out}"
+        f"reduce: kept {stats.sessions} sessions, {stats.queries} queries, "
+        f"{stats.users} users -> {out}"
     )
     return 0
 
@@ -152,7 +129,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     if not config.out:
         raise UsageError("graph requires --out")
     ds = read_reduced_ndjson(args.reduced)
-    graph = prune(build_graph(ds), config.prune_min_weight)
+    graph = prune(build_graph(ds.sessions), config.prune_min_weight)
     out = Path(config.out)
     _atomic_write(out, lambda p: write_graph_tsv(graph, p))
     _write_sidecar(out, config, "graph")
@@ -167,11 +144,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if not config.out:
         raise UsageError("cluster requires --out")
     graph = read_graph_tsv(args.graph)
-    copra_cfg = CopraConfig(
-        v=config.copra_v,
-        max_iterations=config.copra_max_iterations,
-        seed=config.seed,
-    )
+    copra_cfg = copra_config(config)
     result = copra_cluster(graph, copra_cfg)
     out = Path(config.out)
     _atomic_write(
@@ -325,7 +298,6 @@ def cmd_suggest(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="config file (JSON or key=value)")
     parser.add_argument("--seed", type=int, default=None, dest="seed")
-    parser.add_argument("--threads", type=int, default=None, dest="threads")
 
 
 def _add_ontology_flags(parser: argparse.ArgumentParser) -> None:

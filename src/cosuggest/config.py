@@ -33,7 +33,6 @@ class PipelineConfig:
     empty_suggestion_precision: str = "exclude"
     out: str | None = None
     format: str = "json"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.gap_minutes <= 0:
@@ -46,8 +45,6 @@ class PipelineConfig:
             raise ValueError("copra_max_iterations must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be 'json' or 'csv'")
         if self.empty_suggestion_precision not in ("exclude", "zero", "one"):
@@ -59,8 +56,8 @@ class PipelineConfig:
     def pipeline_dict(self) -> dict:
         """Algorithm parameters only: what determines output given the data.
 
-        Input paths and runtime knobs (threads, out, format) are excluded so
-        a staged run and a fused run over the same data produce identical
+        Input paths and output settings (out, format) are excluded so a
+        staged run and a fused run over the same data produce identical
         artifacts and provenance hashes.
         """
         return {
@@ -83,23 +80,15 @@ class PipelineConfig:
                 "lexicon_path": self.lexicon_path,
                 "out": self.out,
                 "format": self.format,
-                "threads": self.threads,
             }
         )
         return values
 
 
-_INT_FIELDS = {
-    "gap_minutes",
-    "prune_min_weight",
-    "copra_v",
-    "copra_max_iterations",
-    "seed",
-    "folds",
-    "threads",
-}
-_LIST_FIELDS = {"excluded_facets"}
-_VALID_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
+_FIELDS = dataclasses.fields(PipelineConfig)
+FIELD_NAMES = tuple(f.name for f in _FIELDS)
+_INT_FIELDS = {f.name for f in _FIELDS if isinstance(f.default, int)}
+_LIST_FIELDS = {f.name for f in _FIELDS if isinstance(f.default, tuple)}
 
 
 def _coerce(key: str, value: object) -> object:
@@ -137,7 +126,7 @@ def load_config_file(path: str | Path) -> dict:
             key, _, value = line.partition("=")
             raw_items.append((key.strip(), value.strip()))
     for key, value in raw_items:
-        if key not in _VALID_FIELDS:
+        if key not in FIELD_NAMES:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = _coerce(key, value)
     return values
@@ -151,7 +140,7 @@ def env_overrides(environ: dict[str, str] | None = None) -> dict:
         if not key.startswith(ENV_PREFIX):
             continue
         field = key[len(ENV_PREFIX):].lower()
-        if field in _VALID_FIELDS:
+        if field in FIELD_NAMES:
             values[field] = _coerce(field, value)
     return values
 

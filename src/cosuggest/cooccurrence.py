@@ -6,11 +6,12 @@ both endpoint concepts were referenced (anywhere within the session).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from cosuggest.log_pipeline import ReducedDataset
+from cosuggest.log_pipeline import SearchSession
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -51,18 +52,15 @@ class CooccurrenceGraph:
         return len(self.nodes)
 
 
-def build_graph(ds: ReducedDataset) -> CooccurrenceGraph:
+def build_graph(sessions: Iterable[SearchSession]) -> CooccurrenceGraph:
     """Accumulate +1 per session onto every unordered pair of its distinct concepts.
 
     Sessions referencing fewer than two distinct concepts contribute nothing;
     duplicate references within a session count once (no self-loops).
     """
     graph = CooccurrenceGraph()
-    for session in ds.sessions:
-        distinct = sorted(ds.session_concept_union(session.session_id))
-        if len(distinct) < 2:
-            continue
-        for a, b in combinations(distinct, 2):
+    for session in sessions:
+        for a, b in combinations(sorted(set().union(*session.concepts)), 2):
             graph.add_edge(a, b)
     return graph
 
@@ -94,5 +92,8 @@ def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
             if len(fields) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
             a, b, raw_w = fields
-            graph.add_edge(a, b, int(raw_w))
+            try:
+                graph.add_edge(a, b, int(raw_w))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return graph

@@ -206,9 +206,17 @@ def write_clusters_json(
 
 
 def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    clusters = [
-        ConceptCluster(id=raw["id"], members=frozenset(raw["members"]))
-        for raw in payload["clusters"]
-    ]
+    """Inverse of :func:`write_clusters_json`; malformed input raises
+    ``ValueError`` naming the file and the offending ``clusters[i]``."""
+    where = "top level"
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        clusters = []
+        for i, raw in enumerate(payload["clusters"]):
+            where = f"clusters[{i}]"
+            clusters.append(ConceptCluster(id=raw["id"], members=frozenset(raw["members"])))
+    except KeyError as exc:
+        raise ValueError(f"{path}: {where}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {where}: {exc}") from exc
     return clusters, payload

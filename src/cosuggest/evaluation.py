@@ -21,7 +21,7 @@ Richness counts the suggested concepts the user actually explored (hits).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import timedelta
 from statistics import fmean
@@ -31,14 +31,12 @@ from cosuggest.cooccurrence import build_graph, prune
 from cosuggest.copra import ConceptCluster, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
     ReducedDataset,
-    SearchSession,
-    SourceStats,
     parse_log,
     reduce_dataset,
     session_length_stats,
     split_sessions,
 )
-from cosuggest.matching import ConceptMatcher, load_lexicon, match_query
+from cosuggest.matching import ConceptMatcher, load_lexicon
 from cosuggest.ontology import load_ontology, subset_by_facet
 from cosuggest.suggestion import Strategy, suggest
 
@@ -49,7 +47,6 @@ STRATEGY_ORDER = (Strategy.SLACK, Strategy.SLACK_SELECTIVE, Strategy.STRICT)
 class FoldPlan:
     fold_count: int
     assignments: dict[str, int]
-    seed: int
 
     def fold_session_ids(self, fold: int) -> set[str]:
         return {sid for sid, f in self.assignments.items() if f == fold}
@@ -73,7 +70,6 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(
         fold_count=k,
         assignments={sid: i % k for i, sid in enumerate(eligible)},
-        seed=seed,
     )
 
 
@@ -93,7 +89,7 @@ class SessionOutcome:
 
 def outcome_from_concept_sets(
     session_id: str,
-    concept_sets: list[frozenset[str]],
+    concept_sets: Sequence[frozenset[str]],
     clusters: list[ConceptCluster],
     strategy: Strategy,
 ) -> SessionOutcome:
@@ -114,17 +110,6 @@ def outcome_from_concept_sets(
         suggested=suggested,
         hits=len(suggested & ground_truth),
     )
-
-
-def evaluate_session(
-    session: SearchSession,
-    clusters: list[ConceptCluster],
-    matcher: ConceptMatcher,
-    strategy: Strategy,
-) -> SessionOutcome:
-    """Match the session's queries and score it; needs >= 2 queries."""
-    concept_sets = [match_query(matcher, rec.query_text) for rec in session.queries]
-    return outcome_from_concept_sets(session.session_id, concept_sets, clusters, strategy)
 
 
 def _session_f1(outcome: SessionOutcome) -> float:
@@ -306,17 +291,6 @@ class EvaluationReport:
         }
 
 
-def _subset_dataset(ds: ReducedDataset, session_ids: set[str]) -> ReducedDataset:
-    sessions = [s for s in ds.sessions if s.session_id in session_ids]
-    concepts = {s.session_id: ds.concepts[s.session_id] for s in sessions}
-    stats = SourceStats(
-        queries=sum(len(s.queries) for s in sessions),
-        sessions=len(sessions),
-        users=len({s.user_id for s in sessions}),
-    )
-    return ReducedDataset(sessions=sessions, concepts=concepts, stats=stats)
-
-
 def _run_fold(
     ds: ReducedDataset,
     plan: FoldPlan,
@@ -324,27 +298,15 @@ def _run_fold(
     config: PipelineConfig,
 ) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
     test_ids = plan.fold_session_ids(fold)
-    train_ids = {s.session_id for s in ds.sessions} - test_ids
-    train_ds = _subset_dataset(ds, train_ids)
-
-    graph = prune(build_graph(train_ds), config.prune_min_weight)
-    if graph.nodes:
-        copra_cfg = CopraConfig(
-            v=config.copra_v,
-            max_iterations=config.copra_max_iterations,
-            seed=config.seed,
-        )
-        clusters = copra_cluster(graph, copra_cfg).clusters
-    else:
-        clusters = []
+    train = (s for s in ds.sessions if s.session_id not in test_ids)
+    graph = prune(build_graph(train), config.prune_min_weight)
+    clusters = copra_cluster(graph, copra_config(config)).clusters if graph.nodes else []
 
     test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
     results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}
     for strategy in STRATEGY_ORDER:
         outcomes = [
-            outcome_from_concept_sets(
-                s.session_id, ds.concepts[s.session_id], clusters, strategy
-            )
+            outcome_from_concept_sets(s.session_id, s.concepts, clusters, strategy)
             for s in test_sessions
         ]
         try:
@@ -362,34 +324,14 @@ def _run_fold(
 def run_experiment_on_dataset(
     ds: ReducedDataset, config: PipelineConfig
 ) -> EvaluationReport:
-    """Per-fold training and scoring of all three strategies on a reduced dataset.
-
-    Folds are independent and evaluated in parallel when ``config.threads``
-    exceeds one; the report is identical regardless of the worker count.
-    """
+    """Per-fold training and scoring of all three strategies on a reduced dataset."""
     plan = make_folds(ds, config.folds, config.seed)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            fold_results = list(
-                pool.map(
-                    lambda fold: _run_fold(ds, plan, fold, config),
-                    range(plan.fold_count),
-                )
-            )
-    else:
-        fold_results = [
-            _run_fold(ds, plan, fold, config) for fold in range(plan.fold_count)
-        ]
+    fold_results = [_run_fold(ds, plan, fold, config) for fold in range(plan.fold_count)]
 
     strategies: dict[str, StrategyReport] = {}
     for strategy in STRATEGY_ORDER:
-        folds = [fold_results[f][strategy][0] for f in range(plan.fold_count)]
-        pooled = [
-            outcome
-            for f in range(plan.fold_count)
-            for outcome in fold_results[f][strategy][1]
-        ]
+        folds = [result[strategy][0] for result in fold_results]
+        pooled = [outcome for result in fold_results for outcome in result[strategy][1]]
         strategies[strategy.value] = StrategyReport(
             folds=folds,
             summary=summarize_folds(folds),
@@ -404,6 +346,15 @@ def run_experiment_on_dataset(
         },
         fold_count=plan.fold_count,
         strategies=strategies,
+    )
+
+
+def copra_config(config: PipelineConfig) -> CopraConfig:
+    """The community-detection settings of a pipeline configuration."""
+    return CopraConfig(
+        v=config.copra_v,
+        max_iterations=config.copra_max_iterations,
+        seed=config.seed,
     )
 
 

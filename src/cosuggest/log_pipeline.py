@@ -35,11 +35,16 @@ class QueryRecord:
 
 @dataclass(frozen=True)
 class SearchSession:
-    """A user's time-contiguous query sequence; queries sorted by timestamp."""
+    """A user's time-contiguous query sequence; queries sorted by timestamp.
+
+    ``concepts`` holds the matched concept set of each query, aligned with
+    ``queries``; it stays empty until :func:`reduce_dataset` fills it.
+    """
 
     session_id: str
     user_id: str
     queries: tuple[QueryRecord, ...]
+    concepts: tuple[frozenset[str], ...] = ()
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -65,21 +70,17 @@ class ParseResult:
 
 @dataclass
 class ReducedDataset:
-    """Sessions retained because at least one query matched a concept.
-
-    ``concepts`` maps session id to the per-query matched concept sets,
-    aligned with ``session.queries``.
-    """
+    """Sessions retained because at least one query matched a concept."""
 
     sessions: list[SearchSession]
-    concepts: dict[str, list[frozenset[str]]]
-    stats: SourceStats
 
-    def session_concept_union(self, session_id: str) -> frozenset[str]:
-        merged: set[str] = set()
-        for cset in self.concepts[session_id]:
-            merged.update(cset)
-        return frozenset(merged)
+    @property
+    def stats(self) -> SourceStats:
+        return SourceStats(
+            queries=sum(len(s.queries) for s in self.sessions),
+            sessions=len(self.sessions),
+            users=len({s.user_id for s in self.sessions}),
+        )
 
 
 def parse_log(path: str | Path) -> ParseResult:
@@ -167,22 +168,18 @@ def split_sessions(records: list[QueryRecord] | ParseResult, gap: timedelta) -> 
 def reduce_dataset(sessions: list[SearchSession], matcher: ConceptMatcher) -> ReducedDataset:
     """Keep sessions in which at least one query matches at least one concept.
 
-    Per-query concept sets are attached for every retained session; the
-    source stats count the retained queries, sessions and distinct users.
+    Every retained session comes back carrying its per-query concept sets.
     """
     retained: list[SearchSession] = []
-    concepts: dict[str, list[frozenset[str]]] = {}
     for session in sessions:
         per_query = [match_query(matcher, rec.query_text) for rec in session.queries]
         if any(per_query):
-            retained.append(session)
-            concepts[session.session_id] = per_query
-    stats = SourceStats(
-        queries=sum(len(s.queries) for s in retained),
-        sessions=len(retained),
-        users=len({s.user_id for s in retained}),
-    )
-    return ReducedDataset(sessions=retained, concepts=concepts, stats=stats)
+            retained.append(
+                SearchSession(
+                    session.session_id, session.user_id, session.queries, tuple(per_query)
+                )
+            )
+    return ReducedDataset(retained)
 
 
 @dataclass(frozen=True)
@@ -235,38 +232,48 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
                         "ts": rec.timestamp.strftime(TIMESTAMP_FORMAT),
                         "concepts": sorted(cset),
                     }
-                    for rec, cset in zip(session.queries, ds.concepts[session.session_id])
+                    for rec, cset in zip(session.queries, session.concepts)
                 ],
             }
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _session_from_json(payload: dict) -> SearchSession:
+    user_id = payload["user"]
+    queries = payload["queries"]
+    records = tuple(
+        QueryRecord(
+            user_id=user_id,
+            query_text=q["text"],
+            timestamp=datetime.strptime(q["ts"], TIMESTAMP_FORMAT),
+        )
+        for q in queries
+    )
+    concepts = tuple(frozenset(q["concepts"]) for q in queries)
+    return SearchSession(payload["session_id"], user_id, records, concepts)
+
+
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
-    """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped."""
+    """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped.
+
+    A malformed line or a repeated session id raises ``ValueError`` naming
+    ``path:line``.
+    """
     sessions: list[SearchSession] = []
-    concepts: dict[str, list[frozenset[str]]] = {}
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
-            records = tuple(
-                QueryRecord(
-                    user_id=payload["user"],
-                    query_text=q["text"],
-                    timestamp=datetime.strptime(q["ts"], TIMESTAMP_FORMAT),
-                )
-                for q in payload["queries"]
-            )
-            session = SearchSession(payload["session_id"], payload["user"], records)
+            try:
+                session = _session_from_json(json.loads(line))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if session.session_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate session_id {session.session_id!r}")
+            seen.add(session.session_id)
             sessions.append(session)
-            concepts[session.session_id] = [
-                frozenset(q["concepts"]) for q in payload["queries"]
-            ]
-    stats = SourceStats(
-        queries=sum(len(s.queries) for s in sessions),
-        sessions=len(sessions),
-        users=len({s.user_id for s in sessions}),
-    )
-    return ReducedDataset(sessions=sessions, concepts=concepts, stats=stats)
+    return ReducedDataset(sessions)

@@ -14,12 +14,8 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from cosuggest.ontology import AnnotationPhrase, OntClass, Ontology
-
-if TYPE_CHECKING:
-    from cosuggest.log_pipeline import SearchSession
 
 log = logging.getLogger(__name__)
 
@@ -154,10 +150,9 @@ def merge_lexicon(ont: Ontology, lexicon: dict[str, list[str]]) -> Ontology:
 
 @dataclass(frozen=True)
 class ConceptMatcher:
-    """Immutable matcher over a built lemma index; safe to share across threads."""
+    """Immutable matcher over a built lemma index."""
 
     index: LemmaIndex
-    normalizer: str = "rule-based"
 
     @classmethod
     def from_ontology(
@@ -188,15 +183,3 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
             if ids:
                 hits.update(ids)
     return frozenset(hits)
-
-
-def session_concepts(session: SearchSession, matcher: ConceptMatcher, upto: int) -> frozenset[str]:
-    """Union of concepts matched by the first ``upto`` queries of a session."""
-    if not 1 <= upto <= len(session.queries):
-        raise IndexError(
-            f"upto={upto} out of range for session of {len(session.queries)} queries"
-        )
-    concepts: set[str] = set()
-    for record in session.queries[:upto]:
-        concepts.update(match_query(matcher, record.query_text))
-    return frozenset(concepts)

@@ -60,9 +60,6 @@ class Ontology:
     root_id: str
     classes: dict[str, OntClass]
 
-    def children_of(self, class_id: str) -> set[str]:
-        return {c.id for c in self.classes.values() if class_id in c.parent_ids}
-
     def child_map(self) -> dict[str, set[str]]:
         """Map every class id to the ids of its direct subclasses."""
         children: dict[str, set[str]] = {cid: set() for cid in self.classes}

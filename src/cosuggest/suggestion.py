@@ -52,13 +52,11 @@ def _result(
     for cluster in selected:
         suggested.update(cluster.members)
     suggested -= context
-    result = SuggestionResult(
+    return SuggestionResult(
         selected_clusters=tuple(sorted(c.id for c in selected)),
         suggested=frozenset(suggested),
         context=context,
     )
-    assert not result.suggested & result.context
-    return result
 
 
 def suggest(

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from cosuggest.log_pipeline import QueryRecord, ReducedDataset, SearchSession, SourceStats
+from cosuggest.log_pipeline import QueryRecord, ReducedDataset, SearchSession
 from cosuggest.ontology import Ontology, ontology_from_dict
 
 CITY_ONTOLOGY = {
@@ -79,26 +79,22 @@ def make_records(user_id: str, texts_and_minutes: list[tuple[str, int]]) -> list
     ]
 
 
-def make_session(session_id: str, user_id: str, texts: list[str]) -> SearchSession:
+def make_session(
+    session_id: str, user_id: str, texts: list[str], concepts: list[set[str]] = ()
+) -> SearchSession:
     records = make_records(user_id, [(t, 5 * i) for i, t in enumerate(texts)])
-    return SearchSession(session_id=session_id, user_id=user_id, queries=tuple(records))
+    return SearchSession(
+        session_id, user_id, tuple(records), tuple(frozenset(c) for c in concepts)
+    )
 
 
 def make_dataset(session_concepts: dict[str, list[set[str]]]) -> ReducedDataset:
     """Synthetic reduced dataset from session-id -> per-query concept sets."""
     sessions = []
-    concepts = {}
     for sid, per_query in session_concepts.items():
-        user = sid.split("#")[0]
         texts = [f"query {i}" for i in range(len(per_query))]
-        sessions.append(make_session(sid, user, texts))
-        concepts[sid] = [frozenset(c) for c in per_query]
-    stats = SourceStats(
-        queries=sum(len(s.queries) for s in sessions),
-        sessions=len(sessions),
-        users=len({s.user_id for s in sessions}),
-    )
-    return ReducedDataset(sessions=sessions, concepts=concepts, stats=stats)
+        sessions.append(make_session(sid, sid.split("#")[0], texts, per_query))
+    return ReducedDataset(sessions)
 
 
 def write_log(path, rows: list[tuple[str, str, str, str, str]]) -> None:

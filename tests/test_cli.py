@@ -90,10 +90,21 @@ def test_config_validation_ranges():
 
 
 def test_config_hash_ignores_runtime_knobs():
-    a = PipelineConfig(threads=1, out="x.json")
-    b = PipelineConfig(threads=8, out="y.json")
+    a = PipelineConfig(out="x.json")
+    b = PipelineConfig(out="y.csv", format="csv")
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(PipelineConfig(seed=43))
+
+
+def test_threads_setting_is_gone(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("threads=2\n")
+    with pytest.raises(ValueError, match="unknown config key 'threads'"):
+        load_config_file(path)
+    assert env_overrides({"COSUGGEST_THREADS": "2"}) == {}
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--reduced", "x.ndjson", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------------------- ont-metrics
@@ -172,12 +183,13 @@ def test_stage_pipeline_and_fused_eval_agree(ontology_file, log_file, tmp_path, 
 def test_eval_repeat_runs_and_threads_are_byte_identical(
     ontology_file, log_file, tmp_path
 ):
+    # Folds run sequentially; the name keeps the test's id stable.
     outputs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name in ("a", "b", "c"):
         out = tmp_path / f"{name}.json"
         assert main([
             "eval", "--log", str(log_file), "--ontology", str(ontology_file),
-            "--folds", "2", "--threads", threads, "--out", str(out),
+            "--folds", "2", "--out", str(out),
         ]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
@@ -288,3 +300,58 @@ def test_usage_error_on_bad_flag_value(ontology_file):
 
 def test_reduce_requires_out(ontology_file, log_file, capsys):
     assert main(["reduce", "--log", str(log_file), "--ontology", str(ontology_file)]) == 2
+
+
+# --------------------------------------------------------- strict readers
+
+GOOD_SESSION = (
+    '{"queries": [{"concepts": ["park"], "text": "park", "ts": "2006-03-01 09:00:00"}],'
+    ' "session_id": "u1#1", "user": "u1"}'
+)
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, where",
+    [
+        (
+            "no_queries.ndjson",
+            GOOD_SESSION + '\n{"session_id": "u2#1", "user": "u2"}\n',
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
+        (
+            "duplicate.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
+        (
+            "bad_weight.tsv",
+            "beach\tpark\t3\nlibrary\tmuseum\tmany\n",
+            ["cluster", "--out", "{tmp}/clusters.json", "--graph"],
+            ":2:",
+        ),
+        (
+            "no_id.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"members": ["beach"]}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
+    ],
+    ids=[
+        "reduced-missing-queries",
+        "reduced-duplicate-session",
+        "graph-bad-weight",
+        "clusters-missing-id",
+    ],
+)
+def test_malformed_artifact_exits_1_with_location(
+    tmp_path, ontology_file, capsys, name, text, argv, where
+):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    argv = [a.format(tmp=tmp_path, ontology=ontology_file) for a in argv] + [str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}{where}" in err
+    assert "Traceback" not in err

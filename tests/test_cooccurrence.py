@@ -22,19 +22,19 @@ def test_build_graph_counts_session_pairs():
             "u3#1": [{"A", "C"}],
         }
     )
-    g = build_graph(ds)
+    g = build_graph(ds.sessions)
     assert g.weight("A", "B") == 2
     assert g.weight("A", "C") == 1
     assert g.weight("B", "C") == 0
 
 
 def test_single_concept_session_contributes_nothing():
-    g = build_graph(make_dataset({"u1#1": [{"A"}]}))
+    g = build_graph(make_dataset({"u1#1": [{"A"}]}).sessions)
     assert g.nodes == set() and g.edges == {}
 
 
 def test_repeated_concept_no_self_loop():
-    g = build_graph(make_dataset({"u1#1": [{"A"}, {"A"}]}))
+    g = build_graph(make_dataset({"u1#1": [{"A"}, {"A"}]}).sessions)
     assert g.edges == {}
     with pytest.raises(ValueError):
         CooccurrenceGraph().add_edge("A", "A")
@@ -48,20 +48,20 @@ def test_edge_weight_symmetric_storage():
 
 
 def test_prune_identity_at_one():
-    g = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "C"}]}))
+    g = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "C"}]}).sessions)
     pruned = prune(g, 1)
     assert pruned.edges == g.edges and pruned.nodes == g.nodes
 
 
 def test_prune_threshold_removes_edge_and_isolated_node():
     ds = make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "B"}], "u3#1": [{"A", "C"}]})
-    pruned = prune(build_graph(ds), 2)
+    pruned = prune(build_graph(ds.sessions), 2)
     assert pruned.edges == {("A", "B"): 2}
     assert pruned.nodes == {"A", "B"}
 
 
 def test_prune_everything():
-    g = build_graph(make_dataset({"u1#1": [{"A", "B"}]}))
+    g = build_graph(make_dataset({"u1#1": [{"A", "B"}]}).sessions)
     pruned = prune(g, 99)
     assert pruned.nodes == set() and pruned.edges == {}
 
@@ -79,16 +79,14 @@ def _random_sessions(rng: random.Random, n_sessions: int):
         data[f"u{i}#1"] = [
             set(rng.sample(universe, rng.randint(0, 3))) for _ in range(n_queries)
         ]
-    return make_dataset(data)
+    return make_dataset(data).sessions
 
 
 def test_weights_match_brute_force_on_random_sessions():
     rng = random.Random(42)
-    ds = _random_sessions(rng, 200)
-    g = build_graph(ds)
-    unions = {
-        sid: ds.session_concept_union(sid) for sid in (s.session_id for s in ds.sessions)
-    }
+    sessions = _random_sessions(rng, 200)
+    g = build_graph(sessions)
+    unions = {s.session_id: set().union(*s.concepts) for s in sessions}
     universe = sorted({c for u in unions.values() for c in u})
     for x, y in combinations(universe, 2):
         expected = sum(1 for u in unions.values() if x in u and y in u)
@@ -96,8 +94,7 @@ def test_weights_match_brute_force_on_random_sessions():
 
 
 def test_prune_idempotent_for_thresholds_one_to_five():
-    ds = _random_sessions(random.Random(7), 120)
-    g = build_graph(ds)
+    g = build_graph(_random_sessions(random.Random(7), 120))
     for threshold in range(1, 6):
         once = prune(g, threshold)
         twice = prune(once, threshold)
@@ -105,8 +102,7 @@ def test_prune_idempotent_for_thresholds_one_to_five():
 
 
 def test_graph_tsv_roundtrip(tmp_path):
-    ds = _random_sessions(random.Random(3), 50)
-    g = build_graph(ds)
+    g = build_graph(_random_sessions(random.Random(3), 50))
     path = tmp_path / "graph.tsv"
     write_graph_tsv(g, path)
     loaded = read_graph_tsv(path)

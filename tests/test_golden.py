@@ -37,13 +37,14 @@ def artifacts(tmp_path_factory):
     for key in [k for k in os.environ if k.startswith("COSUGGEST_")]:
         mp.delenv(key)
     reduced = str(out / "reduced.ndjson")
+    inputs = ["--log", str(DATA / "search_log.tsv"), "--ontology", str(DATA / "city_ontology.json")]
+    evaluate = ["eval", "--reduced", reduced, "--folds", "3"]
     runs = [
-        ["reduce", "--log", str(DATA / "search_log.tsv"), "--ontology", str(DATA / "city_ontology.json"),
-         "--lexicon", str(DATA / "lexicon.json"), "--out", reduced],
+        ["reduce", *inputs, "--lexicon", str(DATA / "lexicon.json"), "--out", reduced],
         ["graph", "--reduced", reduced, "--out", str(out / "graph.tsv")],
         ["cluster", "--graph", str(out / "graph.tsv"), "--out", str(out / "clusters.json")],
-        ["eval", "--reduced", reduced, "--folds", "3", "--out", str(out / "report.json")],
-        ["eval", "--reduced", reduced, "--folds", "3", "--format", "csv", "--out", str(out / "report.csv")],
+        [*evaluate, "--out", str(out / "report.json")],
+        [*evaluate, "--format", "csv", "--out", str(out / "report.csv")],
     ]
     try:
         for argv in runs:

@@ -200,7 +200,8 @@ def test_reduce_tally_fixture(tally_log, city_ontology):
     assert {s.session_id for s in ds.sessions} == {
         "u1#1", "u1#3", "u2#2", "u3#1", "u4#1", "u5#1",
     }
-    assert ds.concepts["u1#1"] == [frozenset({"park"}), frozenset({"beach"})]
+    concepts = {s.session_id: s.concepts for s in ds.sessions}
+    assert concepts["u1#1"] == (frozenset({"park"}), frozenset({"beach"}))
 
 
 def test_reduce_drops_matchless_sessions(city_ontology):
@@ -217,7 +218,7 @@ def test_reduce_keeps_partial_match_sessions(city_ontology):
     )
     ds = reduce_dataset(sessions, matcher)
     assert len(ds.sessions) == 1
-    assert ds.concepts["u1#1"] == [frozenset(), frozenset({"park"}), frozenset()]
+    assert ds.sessions[0].concepts == (frozenset(), frozenset({"park"}), frozenset())
 
 
 def test_reduce_output_is_subset_of_input(city_ontology):
@@ -233,8 +234,11 @@ def test_reduce_output_is_subset_of_input(city_ontology):
         records += make_records(f"u{u}", minutes)
     sessions = split_sessions(records, GAP_30)
     ds = reduce_dataset(sessions, matcher)
-    assert set(map(id, ds.sessions)) <= set(map(id, sessions))
-    assert {s.session_id for s in ds.sessions} <= {s.session_id for s in sessions}
+    def key(s):
+        return (s.session_id, s.user_id, s.queries)
+
+    assert set(map(key, ds.sessions)) <= set(map(key, sessions))
+    assert all(len(s.concepts) == len(s.queries) for s in ds.sessions)
 
 
 # ----------------------------------------------------- session_length_stats
@@ -279,7 +283,7 @@ def test_ndjson_roundtrip(tally_log, city_ontology, tmp_path):
     write_reduced_ndjson(ds, out)
     loaded = read_reduced_ndjson(out)
     assert [s.session_id for s in loaded.sessions] == [s.session_id for s in ds.sessions]
-    assert loaded.concepts == ds.concepts
+    assert [s.concepts for s in loaded.sessions] == [s.concepts for s in ds.sessions]
     assert loaded.stats == ds.stats
     # Query text and timestamps survive the round trip.
     assert loaded.sessions[0].queries[0].query_text == ds.sessions[0].queries[0].query_text

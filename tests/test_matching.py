@@ -10,11 +10,8 @@ from cosuggest.matching import (
     match_query,
     merge_lexicon,
     normalize,
-    session_concepts,
 )
 from cosuggest.ontology import ontology_from_dict
-
-from conftest import make_session
 
 
 def _matcher(phrase_map: dict[tuple[str, ...], set[str]]) -> ConceptMatcher:
@@ -137,42 +134,6 @@ def test_matches_stay_within_ontology(city_ontology):
     for _ in range(200):
         text = " ".join(rng.choices(vocabulary, k=rng.randint(1, 6)))
         assert match_query(matcher, text) <= set(city_ontology.classes)
-
-
-def test_session_concepts_first_query_only():
-    matcher = _matcher({("park",): {"P"}, ("beach",): {"B"}})
-    session = make_session("u1#1", "u1", ["park", "beach"])
-    assert session_concepts(session, matcher, 1) == frozenset({"P"})
-
-
-def test_session_concepts_union_and_dedupe():
-    matcher = _matcher({("park",): {"P"}, ("beach",): {"B"}})
-    session = make_session("u1#1", "u1", ["park", "beach", "park again"])
-    assert session_concepts(session, matcher, 2) == frozenset({"P", "B"})
-    assert session_concepts(session, matcher, 3) == frozenset({"P", "B"})
-
-
-def test_session_concepts_monotone():
-    matcher = _matcher({("park",): {"P"}, ("beach",): {"B"}, ("museum",): {"M"}})
-    rng = random.Random(11)
-    words = ["park", "beach", "museum", "nothing"]
-    for _ in range(50):
-        texts = [rng.choice(words) for _ in range(rng.randint(1, 6))]
-        session = make_session("u#1", "u", texts)
-        previous: frozenset[str] = frozenset()
-        for i in range(1, len(texts) + 1):
-            current = session_concepts(session, matcher, i)
-            assert previous <= current
-            previous = current
-
-
-def test_session_concepts_out_of_range():
-    matcher = _matcher({("park",): {"P"}})
-    session = make_session("u1#1", "u1", ["park"])
-    with pytest.raises(IndexError):
-        session_concepts(session, matcher, 2)
-    with pytest.raises(IndexError):
-        session_concepts(session, matcher, 0)
 
 
 def test_lexicon_merge_adds_phrases(city_ontology):
