@@ -1,11 +1,13 @@
-"""Golden bytes: the demo-corpus artifacts of every stage, pinned by SHA-256.
+"""Golden bytes: the demo-corpus artifacts and stdout of every stage, pinned by SHA-256.
 
 A refactor must leave these digests unchanged; a change that alters them
 alters the pipeline's output and has to say so by updating the pins.
 """
 
 import hashlib
+import io
 import os
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,19 @@ GOLDEN = {
     "report.f1_by_length.slack-selective.csv": "7c97f358d7722d7ed4b1d1c6052905d30e8c61fb9e337b4eb27c3ba7e68db6e5",
     "report.f1_by_length.strict.csv": "a0e8955394b8cb531d6e1e3608ee774b079bf165755b0341d6e8743be8970842",
 }
+
+
+STDOUT_GOLDEN = {
+    "ont-metrics-json": "099c43aee78851a2aa51bbe84d7e3984e9f2b8ac703e524cd9467849ace5b14f",
+    "ont-metrics-text": "91df5a90627a78189f4230295666cda678188b99c2c683986efbe87ad2dd7ceb",
+    "suggest": "d008c08d160ea593ec552d9ff3d6c3034c370bbe79b7aec83430d32852b4e219",
+}
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    for key in [k for k in os.environ if k.startswith("COSUGGEST_")]:
+        monkeypatch.delenv(key)
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +77,24 @@ def test_demo_artifact_bytes_are_pinned(artifacts, name):
 
 def test_no_unpinned_artifacts(artifacts):
     assert sorted(p.name for p in artifacts.iterdir()) == sorted(GOLDEN)
+
+
+def _stdout_argv(name, artifacts):
+    ontology = ["--ontology", str(DATA / "city_ontology.json")]
+    return {
+        "ont-metrics-json": ["ont-metrics", *ontology, "--format", "json"],
+        "ont-metrics-text": ["ont-metrics", *ontology],
+        "suggest": [
+            "suggest", *ontology, "--lexicon", str(DATA / "lexicon.json"),
+            "--clusters", str(artifacts / "clusters.json"), "--query", "museum near the beach",
+        ],
+    }[name]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+def test_demo_stdout_bytes_are_pinned(artifacts, clean_env, name):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        assert main(_stdout_argv(name, artifacts)) == 0
+    digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    assert digest == STDOUT_GOLDEN[name]
