@@ -23,7 +23,6 @@ from cosuggest.ontology import (
 )
 from cosuggest.matching import (
     ConceptMatcher,
-    LemmaIndex,
     build_lemma_index,
     load_lexicon,
     match_query,
@@ -65,7 +64,6 @@ from cosuggest.suggestion import Strategy, SuggestionResult, suggest
 from cosuggest.evaluation import (
     EvaluationReport,
     FoldMetrics,
-    FoldPlan,
     SessionOutcome,
     aggregate,
     f1_by_length,
@@ -87,8 +85,6 @@ __all__ = [
     "CopraResult",
     "EvaluationReport",
     "FoldMetrics",
-    "FoldPlan",
-    "LemmaIndex",
     "LengthStats",
     "OntClass",
     "Ontology",

@@ -11,21 +11,21 @@ I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from cosuggest.config import FIELD_NAMES, PipelineConfig, provenance, resolve_config
 from cosuggest.cooccurrence import build_graph, prune, read_graph_tsv, write_graph_tsv
 from cosuggest.copra import cluster_stats, copra_cluster, read_clusters_json, write_clusters_json
 from cosuggest.evaluation import (
-    EvaluationReport,
     build_matcher,
     copra_config,
+    f1_by_length_csv,
     reduce_from_config,
+    report_csv,
     run_experiment_on_dataset,
 )
 from cosuggest.log_pipeline import read_reduced_ndjson, write_reduced_ndjson
@@ -81,8 +81,8 @@ def cmd_ont_metrics(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "full": full.to_dict(),
-                    "subset": subset.to_dict(),
+                    "full": asdict(full),
+                    "subset": asdict(subset),
                     "excluded_facets": sorted(config.excluded_facets),
                 },
                 indent=2,
@@ -160,74 +160,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_csv(report: EvaluationReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "strategy",
-            "fold",
-            "richness_min",
-            "richness_max",
-            "richness_mean",
-            "recall",
-            "precision",
-            "f1",
-            "f1_session_mean",
-            "n_sessions",
-            "n_scored",
-            "n_precision_sessions",
-        ]
-    )
-    for name, strategy_report in report.strategies.items():
-        for fold_metrics in strategy_report.folds:
-            if fold_metrics is None:
-                continue
-            writer.writerow(
-                [
-                    name,
-                    fold_metrics.fold,
-                    fold_metrics.richness_min,
-                    fold_metrics.richness_max,
-                    fold_metrics.richness_mean,
-                    fold_metrics.recall,
-                    fold_metrics.precision,
-                    fold_metrics.f1,
-                    fold_metrics.f1_session_mean,
-                    fold_metrics.n_sessions,
-                    fold_metrics.n_scored,
-                    fold_metrics.n_precision_sessions,
-                ]
-            )
-        summary = strategy_report.summary
-        writer.writerow(
-            [
-                name,
-                "mean",
-                summary.richness_min,
-                summary.richness_max,
-                summary.richness_mean,
-                summary.recall,
-                summary.precision,
-                summary.f1,
-                summary.f1_session_mean,
-                "",
-                "",
-                "",
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _f1_by_length_csv(rows: list[tuple[int, float, int]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["length", "mean_f1", "n"])
-    for length, mean_f1, n in rows:
-        writer.writerow([length, mean_f1, n])
-    return buffer.getvalue()
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.reduced:
@@ -242,13 +174,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         wanted = Strategy.from_name(args.strategy).value
         report.strategies = {wanted: report.strategies[wanted]}
 
-    payload = dict(report.to_dict())
-    payload["provenance"] = provenance(config, "eval")
-
     if config.format == "json":
+        payload = {**report.to_dict(), "provenance": provenance(config, "eval")}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = _report_csv(report)
+        text = report_csv(report)
 
     if config.out:
         out = Path(config.out)
@@ -257,7 +187,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if config.format == "csv":
             for name, strategy_report in report.strategies.items():
                 side = Path(f"{out.with_suffix('')}.f1_by_length.{name}.csv")
-                side_text = _f1_by_length_csv(strategy_report.f1_by_length)
+                side_text = f1_by_length_csv(strategy_report.f1_by_length)
                 _atomic_write(side, lambda p, t=side_text: p.write_text(t, encoding="utf-8"))
         print(f"eval: report written -> {out}")
     else:

@@ -71,19 +71,6 @@ class PipelineConfig:
             "empty_suggestion_precision": self.empty_suggestion_precision,
         }
 
-    def to_dict(self) -> dict:
-        values = self.pipeline_dict()
-        values.update(
-            {
-                "ontology_path": self.ontology_path,
-                "log_path": self.log_path,
-                "lexicon_path": self.lexicon_path,
-                "out": self.out,
-                "format": self.format,
-            }
-        )
-        return values
-
 
 _FIELDS = dataclasses.fields(PipelineConfig)
 FIELD_NAMES = tuple(f.name for f in _FIELDS)

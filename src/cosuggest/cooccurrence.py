@@ -82,6 +82,8 @@ def write_graph_tsv(g: CooccurrenceGraph, path: str | Path) -> None:
 
 
 def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
+    """Inverse of :func:`write_graph_tsv`; a malformed line or a pair listed
+    twice (in either order) raises ``ValueError`` naming ``path:line``."""
     graph = CooccurrenceGraph()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -93,6 +95,8 @@ def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
                 raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
             a, b, raw_w = fields
             try:
+                if graph.weight(a, b):
+                    raise ValueError(f"repeated pair {a!r} {b!r}")
                 graph.add_edge(a, b, int(raw_w))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc

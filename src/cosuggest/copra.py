@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Callable
@@ -45,9 +45,6 @@ class CopraConfig:
             raise ValueError("v must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"v": self.v, "max_iterations": self.max_iterations, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -156,15 +153,6 @@ class ClusterStats:
     size_mean: float
     overlap_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "size_min": self.size_min,
-            "size_max": self.size_max,
-            "size_mean": self.size_mean,
-            "overlap_count": self.overlap_count,
-        }
-
 
 def cluster_stats(clusters: list[ConceptCluster]) -> ClusterStats:
     """Cluster count, size spread, and how many concepts sit in >1 cluster."""
@@ -191,7 +179,7 @@ def write_clusters_json(
     provenance: dict | None = None,
 ) -> None:
     payload = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "clusters": [
             {"id": c.id, "members": sorted(c.members)} for c in result.clusters
         ],
@@ -206,14 +194,21 @@ def write_clusters_json(
 
 
 def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
-    """Inverse of :func:`write_clusters_json`; malformed input raises
-    ``ValueError`` naming the file and the offending ``clusters[i]``."""
+    """Inverse of :func:`write_clusters_json`; malformed input (missing
+    field, members that are not a list, a repeated id) raises ``ValueError``
+    naming the file and the offending ``clusters[i]``."""
     where = "top level"
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         clusters = []
+        ids: set[int] = set()
         for i, raw in enumerate(payload["clusters"]):
             where = f"clusters[{i}]"
+            if not isinstance(raw["members"], list):
+                raise ValueError("members must be a list")
+            if raw["id"] in ids:
+                raise ValueError(f"duplicate id {raw['id']!r}")
+            ids.add(raw["id"])
             clusters.append(ConceptCluster(id=raw["id"], members=frozenset(raw["members"])))
     except KeyError as exc:
         raise ValueError(f"{path}: {where}: missing field {exc}") from exc

@@ -16,15 +16,21 @@ default, excluded from the precision mean (configurable to count as 0 or
 recall; because the macro/micro choice is debatable, the mean of
 per-session F1 values is reported alongside as ``f1_session_mean``.
 Richness counts the suggested concepts the user actually explored (hits).
+
+The report's dataclasses are its schema: the JSON report is their
+``asdict`` and the CSV columns are their fields.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import timedelta
 from statistics import fmean
+from typing import NamedTuple
 
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import build_graph, prune
@@ -43,20 +49,12 @@ from cosuggest.suggestion import Strategy, suggest
 STRATEGY_ORDER = (Strategy.SLACK, Strategy.SLACK_SELECTIVE, Strategy.STRICT)
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    fold_count: int
-    assignments: dict[str, int]
-
-    def fold_session_ids(self, fold: int) -> set[str]:
-        return {sid for sid, f in self.assignments.items() if f == fold}
-
-
-def make_folds(ds: ReducedDataset, k: int, seed: int) -> FoldPlan:
+def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[frozenset[str]]:
     """Seeded shuffle of eligible (>=2 query) sessions, dealt round-robin.
 
-    Fold sizes differ by at most one.  Raises when fewer eligible sessions
-    than folds exist.
+    Returns the k held-out session-id sets, a partition of the eligible
+    sessions whose sizes differ by at most one.  Raises when fewer eligible
+    sessions than folds exist.
     """
     if k < 2:
         raise ValueError("fold count must be >= 2")
@@ -67,10 +65,7 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> FoldPlan:
         )
     rng = random.Random(seed)
     rng.shuffle(eligible)
-    return FoldPlan(
-        fold_count=k,
-        assignments={sid: i % k for i, sid in enumerate(eligible)},
-    )
+    return [frozenset(eligible[fold::k]) for fold in range(k)]
 
 
 @dataclass(frozen=True)
@@ -127,33 +122,24 @@ def _harmonic(precision: float, recall: float) -> float:
 
 
 @dataclass(frozen=True)
-class FoldMetrics:
-    fold: int
-    n_sessions: int
-    n_scored: int
-    n_precision_sessions: int
+class Metrics:
+    """The metric columns shared by a fold's row and a strategy's mean row."""
+
+    richness_min: int
+    richness_max: int
+    richness_mean: float
     recall: float
     precision: float
     f1: float
     f1_session_mean: float
-    richness_min: int
-    richness_max: int
-    richness_mean: float
 
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "n_sessions": self.n_sessions,
-            "n_scored": self.n_scored,
-            "n_precision_sessions": self.n_precision_sessions,
-            "recall": self.recall,
-            "precision": self.precision,
-            "f1": self.f1,
-            "f1_session_mean": self.f1_session_mean,
-            "richness_min": self.richness_min,
-            "richness_max": self.richness_max,
-            "richness_mean": self.richness_mean,
-        }
+
+@dataclass(frozen=True)
+class FoldMetrics(Metrics):
+    fold: int
+    n_sessions: int
+    n_scored: int
+    n_precision_sessions: int
 
 
 def aggregate(
@@ -202,7 +188,13 @@ def aggregate(
     )
 
 
-def f1_by_length(outcomes: list[SessionOutcome]) -> list[tuple[int, float, int]]:
+class LengthF1(NamedTuple):
+    length: int
+    mean_f1: float
+    n: int
+
+
+def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
     """Mean per-session F1 grouped by session length, with group sizes.
 
     Sessions with empty ground truth are excluded, mirroring aggregation.
@@ -213,31 +205,14 @@ def f1_by_length(outcomes: list[SessionOutcome]) -> list[tuple[int, float, int]]
         if not outcome.ground_truth:
             continue
         groups.setdefault(outcome.session_length, []).append(_session_f1(outcome))
-    return [(length, fmean(vals), len(vals)) for length, vals in sorted(groups.items())]
+    return [
+        LengthF1(length, fmean(vals), len(vals)) for length, vals in sorted(groups.items())
+    ]
 
 
 @dataclass(frozen=True)
-class StrategySummary:
-    recall: float
-    precision: float
-    f1: float
-    f1_session_mean: float
-    richness_min: int
-    richness_max: int
-    richness_mean: float
+class StrategySummary(Metrics):
     n_scored_folds: int
-
-    def to_dict(self) -> dict:
-        return {
-            "recall": self.recall,
-            "precision": self.precision,
-            "f1": self.f1,
-            "f1_session_mean": self.f1_session_mean,
-            "richness_min": self.richness_min,
-            "richness_max": self.richness_max,
-            "richness_mean": self.richness_mean,
-            "n_scored_folds": self.n_scored_folds,
-        }
 
 
 def summarize_folds(folds: list[FoldMetrics | None]) -> StrategySummary:
@@ -260,17 +235,10 @@ def summarize_folds(folds: list[FoldMetrics | None]) -> StrategySummary:
 class StrategyReport:
     folds: list[FoldMetrics | None]
     summary: StrategySummary
-    f1_by_length: list[tuple[int, float, int]]
+    f1_by_length: list[LengthF1]
 
     def to_dict(self) -> dict:
-        return {
-            "folds": [f.to_dict() if f is not None else None for f in self.folds],
-            "summary": self.summary.to_dict(),
-            "f1_by_length": [
-                {"length": length, "mean_f1": mean_f1, "n": n}
-                for length, mean_f1, n in self.f1_by_length
-            ],
-        }
+        return {**asdict(self), "f1_by_length": [row._asdict() for row in self.f1_by_length]}
 
 
 @dataclass
@@ -281,23 +249,44 @@ class EvaluationReport:
     strategies: dict[str, StrategyReport]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "dataset_stats": self.dataset_stats,
-            "fold_count": self.fold_count,
-            "strategies": {
-                name: report.to_dict() for name, report in self.strategies.items()
-            },
-        }
+        strategies = {name: report.to_dict() for name, report in self.strategies.items()}
+        return {**asdict(self), "strategies": strategies}
+
+
+_METRIC_COLUMNS = [f.name for f in fields(Metrics)]
+# FoldMetrics lists its own fields after the shared ones: ``fold``, then counts.
+_COUNT_COLUMNS = [f.name for f in fields(FoldMetrics)][len(_METRIC_COLUMNS) + 1 :]
+
+
+def report_csv(report: EvaluationReport) -> str:
+    """One row per scored fold and one ``mean`` row per strategy."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["strategy", "fold", *_METRIC_COLUMNS, *_COUNT_COLUMNS])
+    for name, strategy_report in report.strategies.items():
+        for metrics in strategy_report.folds:
+            if metrics is not None:
+                values = [getattr(metrics, c) for c in _METRIC_COLUMNS + _COUNT_COLUMNS]
+                writer.writerow([name, metrics.fold, *values])
+        summary = [getattr(strategy_report.summary, c) for c in _METRIC_COLUMNS]
+        writer.writerow([name, "mean", *summary, *[""] * len(_COUNT_COLUMNS)])
+    return buffer.getvalue()
+
+
+def f1_by_length_csv(rows: list[LengthF1]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(LengthF1._fields)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _run_fold(
     ds: ReducedDataset,
-    plan: FoldPlan,
+    test_ids: frozenset[str],
     fold: int,
     config: PipelineConfig,
 ) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
-    test_ids = plan.fold_session_ids(fold)
     train = (s for s in ds.sessions if s.session_id not in test_ids)
     graph = prune(build_graph(train), config.prune_min_weight)
     clusters = copra_cluster(graph, copra_config(config)).clusters if graph.nodes else []
@@ -325,8 +314,10 @@ def run_experiment_on_dataset(
     ds: ReducedDataset, config: PipelineConfig
 ) -> EvaluationReport:
     """Per-fold training and scoring of all three strategies on a reduced dataset."""
-    plan = make_folds(ds, config.folds, config.seed)
-    fold_results = [_run_fold(ds, plan, fold, config) for fold in range(plan.fold_count)]
+    held_out = make_folds(ds, config.folds, config.seed)
+    fold_results = [
+        _run_fold(ds, test_ids, fold, config) for fold, test_ids in enumerate(held_out)
+    ]
 
     strategies: dict[str, StrategyReport] = {}
     for strategy in STRATEGY_ORDER:
@@ -341,10 +332,10 @@ def run_experiment_on_dataset(
     return EvaluationReport(
         config=config.pipeline_dict(),
         dataset_stats={
-            "source": ds.stats.to_dict(),
+            "source": asdict(ds.stats),
             "session_length": session_length_stats(ds).to_dict(),
         },
-        fold_count=plan.fold_count,
+        fold_count=config.folds,
         strategies=strategies,
     )
 

@@ -56,9 +56,6 @@ class SourceStats:
     sessions: int
     users: int
 
-    def to_dict(self) -> dict:
-        return {"queries": self.queries, "sessions": self.sessions, "users": self.users}
-
 
 @dataclass
 class ParseResult:
@@ -132,7 +129,7 @@ def _chain_line(first: str, handle):
     yield from handle
 
 
-def split_sessions(records: list[QueryRecord] | ParseResult, gap: timedelta) -> list[SearchSession]:
+def split_sessions(records: list[QueryRecord], gap: timedelta) -> list[SearchSession]:
     """Group records per user and split on inter-query gaps exceeding ``gap``.
 
     Sessions are returned ordered by user id then start time; session ids are
@@ -141,8 +138,6 @@ def split_sessions(records: list[QueryRecord] | ParseResult, gap: timedelta) -> 
     """
     if gap <= timedelta(0):
         raise ValueError("gap must be positive")
-    if isinstance(records, ParseResult):
-        records = records.records
     by_user: dict[str, list[QueryRecord]] = {}
     for rec in records:
         by_user.setdefault(rec.user_id, []).append(rec)
@@ -238,9 +233,17 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _concept_set(raw: object) -> frozenset[str]:
+    if not isinstance(raw, list):
+        raise ValueError("concepts must be a list")
+    return frozenset(raw)
+
+
 def _session_from_json(payload: dict) -> SearchSession:
     user_id = payload["user"]
     queries = payload["queries"]
+    if not queries:
+        raise ValueError("session has no queries")
     records = tuple(
         QueryRecord(
             user_id=user_id,
@@ -249,14 +252,15 @@ def _session_from_json(payload: dict) -> SearchSession:
         )
         for q in queries
     )
-    concepts = tuple(frozenset(q["concepts"]) for q in queries)
+    concepts = tuple(_concept_set(q["concepts"]) for q in queries)
     return SearchSession(payload["session_id"], user_id, records, concepts)
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped.
 
-    A malformed line or a repeated session id raises ``ValueError`` naming
+    A malformed line (missing field, bad value, no queries, concepts that
+    are not a list) or a repeated session id raises ``ValueError`` naming
     ``path:line``.
     """
     sessions: list[SearchSession] = []

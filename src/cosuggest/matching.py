@@ -54,31 +54,18 @@ def normalize(text: str) -> list[str]:
     return [_strip_suffix(t) for t in tokens]
 
 
-@dataclass(frozen=True)
-class LemmaIndex:
-    """Lemma-sequence phrases mapped to the ids of the classes owning them.
-
-    One phrase may map to several classes (collisions are preserved).
-    ``unannotated_class_ids`` lists classes that contributed no annotation
-    phrase; without an indexed label they can never match a query.
-    """
-
-    phrases: dict[tuple[str, ...], frozenset[str]]
-    unannotated_class_ids: frozenset[str] = frozenset()
-
-    def __len__(self) -> int:
-        return len(self.phrases)
+LemmaPhrases = dict[tuple[str, ...], frozenset[str]]
 
 
-def build_lemma_index(ont: Ontology, include_labels: bool = True) -> LemmaIndex:
-    """Index every annotation lemma sequence of every non-root class.
+def build_lemma_index(ont: Ontology) -> LemmaPhrases:
+    """Map every lemma-sequence phrase of every non-root class to its owners.
 
-    Stored lemmas are passed through :func:`normalize` so both sides of a
-    match share one normal form (a data file saying "shopping" meets query
-    tokens reduced to "shop").  With ``include_labels`` (the default) each
-    class label is normalized and indexed as one additional phrase, so
-    label-only classes stay matchable.  Classes without annotations are
-    reported at warning level.
+    Annotation lemmas and the class label are indexed, each passed through
+    :func:`normalize` so both sides of a match share one normal form (a
+    data file saying "shopping" meets query tokens reduced to "shop").  One
+    phrase may map to several classes (collisions are preserved).  Classes
+    without annotations, matchable through their label only, are reported
+    at warning level.
     """
     phrases: dict[tuple[str, ...], set[str]] = {}
     unannotated: set[str] = set()
@@ -94,8 +81,7 @@ def build_lemma_index(ont: Ontology, include_labels: bool = True) -> LemmaIndex:
             unannotated.add(cls.id)
         for ann in cls.annotations:
             add(tuple(normalize(" ".join(ann.lemmas))), cls.id)
-        if include_labels:
-            add(tuple(normalize(cls.label)), cls.id)
+        add(tuple(normalize(cls.label)), cls.id)
 
     if unannotated:
         log.warning(
@@ -103,10 +89,7 @@ def build_lemma_index(ont: Ontology, include_labels: bool = True) -> LemmaIndex:
             len(unannotated),
             ", ".join(sorted(unannotated)),
         )
-    return LemmaIndex(
-        phrases={p: frozenset(ids) for p, ids in phrases.items()},
-        unannotated_class_ids=frozenset(unannotated),
-    )
+    return {p: frozenset(ids) for p, ids in phrases.items()}
 
 
 def load_lexicon(path: str | Path) -> dict[str, list[str]]:
@@ -150,20 +133,17 @@ def merge_lexicon(ont: Ontology, lexicon: dict[str, list[str]]) -> Ontology:
 
 @dataclass(frozen=True)
 class ConceptMatcher:
-    """Immutable matcher over a built lemma index."""
+    """Matcher over a built lemma index (phrase -> owning class ids)."""
 
-    index: LemmaIndex
+    index: LemmaPhrases
 
     @classmethod
     def from_ontology(
-        cls,
-        ont: Ontology,
-        lexicon: dict[str, list[str]] | None = None,
-        include_labels: bool = True,
+        cls, ont: Ontology, lexicon: dict[str, list[str]] | None = None
     ) -> "ConceptMatcher":
         if lexicon:
             ont = merge_lexicon(ont, lexicon)
-        return cls(index=build_lemma_index(ont, include_labels=include_labels))
+        return cls(index=build_lemma_index(ont))
 
 
 def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
@@ -179,7 +159,7 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
     n = len(tokens)
     for start in range(n):
         for end in range(start + 1, n + 1):
-            ids = matcher.index.phrases.get(tuple(tokens[start:end]))
+            ids = matcher.index.get(tuple(tokens[start:end]))
             if ids:
                 hits.update(ids)
     return frozenset(hits)

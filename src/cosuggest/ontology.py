@@ -85,14 +85,6 @@ class OntologyMetrics:
     longest_root_to_leaf_path: int
     mean_node_degree: float
 
-    def to_dict(self) -> dict:
-        return {
-            "class_count": self.class_count,
-            "subclass_relation_count": self.subclass_relation_count,
-            "longest_root_to_leaf_path": self.longest_root_to_leaf_path,
-            "mean_node_degree": self.mean_node_degree,
-        }
-
 
 def _parse_annotation(raw: object, class_id: str) -> AnnotationPhrase:
     if not isinstance(raw, dict):

@@ -337,12 +337,47 @@ GOOD_SESSION = (
             ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
             ": clusters[1]:",
         ),
+        (
+            "concepts_string.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace('["park"]', '"park"').replace("u1", "u2") + "\n",
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
+        (
+            "empty_queries.ndjson",
+            GOOD_SESSION + '\n{"queries": [], "session_id": "u2#1", "user": "u2"}\n',
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
+        (
+            "repeated_pair.tsv",
+            "a\tb\t3\nb\ta\t2\na\tb\t1\n",
+            ["cluster", "--out", "{tmp}/clusters.json", "--graph"],
+            ":2:",
+        ),
+        (
+            "members_string.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"id": 1, "members": "park"}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
+        (
+            "duplicate_id.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"id": 0, "members": ["beach"]}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
         "reduced-duplicate-session",
         "graph-bad-weight",
         "clusters-missing-id",
+        "reduced-concepts-not-a-list",
+        "reduced-empty-queries",
+        "graph-repeated-pair",
+        "clusters-members-not-a-list",
+        "clusters-duplicate-id",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

@@ -1,6 +1,5 @@
 import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -44,14 +43,13 @@ def _eligible_dataset(n_eligible, n_short=0):
 
 
 def test_folds_one_session_each():
-    plan = make_folds(_eligible_dataset(10), 10, seed=1)
-    assert sorted(Counter(plan.assignments.values()).values()) == [1] * 10
+    folds = make_folds(_eligible_dataset(10), 10, seed=1)
+    assert [len(f) for f in folds] == [1] * 10
 
 
 def test_fold_sizes_differ_by_at_most_one():
-    plan = make_folds(_eligible_dataset(23), 10, seed=1)
-    sizes = sorted(Counter(plan.assignments.values()).values(), reverse=True)
-    assert sizes == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
+    folds = make_folds(_eligible_dataset(23), 10, seed=1)
+    assert sorted(map(len, folds), reverse=True) == [3, 3, 3, 2, 2, 2, 2, 2, 2, 2]
 
 
 def test_folds_deterministic_for_seed():
@@ -61,9 +59,9 @@ def test_folds_deterministic_for_seed():
 
 
 def test_folds_exclude_single_query_sessions():
-    plan = make_folds(_eligible_dataset(6, n_short=5), 3, seed=0)
-    assert all(sid.startswith("u") for sid in plan.assignments)
-    assert len(plan.assignments) == 6
+    held_out = set().union(*make_folds(_eligible_dataset(6, n_short=5), 3, seed=0))
+    assert all(sid.startswith("u") for sid in held_out)
+    assert len(held_out) == 6
 
 
 def test_folds_error_when_too_few_sessions():
@@ -76,12 +74,12 @@ def test_fold_partition_property():
         for seed in range(100):
             n = random.Random(seed).randint(k, 40)
             ds = _eligible_dataset(n)
-            plan = make_folds(ds, k, seed)
-            assert set(plan.assignments) == {s.session_id for s in ds.sessions}
-            sizes = Counter(plan.assignments.values())
-            assert set(sizes) <= set(range(k))
-            assert max(sizes.values()) - min(sizes.values()) <= 1
-            assert sum(sizes.values()) == n
+            folds = make_folds(ds, k, seed)
+            assert len(folds) == k
+            assert set().union(*folds) == {s.session_id for s in ds.sessions}
+            sizes = [len(f) for f in folds]
+            assert max(sizes) - min(sizes) <= 1
+            assert sum(sizes) == n
 
 
 # ------------------------------------------------- outcome_from_concept_sets

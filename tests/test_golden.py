@@ -7,7 +7,7 @@ alters the pipeline's output and has to say so by updating the pins.
 import hashlib
 import io
 import os
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -39,18 +39,18 @@ STDOUT_GOLDEN = {
 }
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    for key in [k for k in os.environ if k.startswith("COSUGGEST_")]:
-        monkeypatch.delenv(key)
+@contextmanager
+def _clean_env():
+    """Run with every ``COSUGGEST_*`` variable cleared, so only defaults apply."""
+    with pytest.MonkeyPatch.context() as mp:
+        for key in [k for k in os.environ if k.startswith("COSUGGEST_")]:
+            mp.delenv(key)
+        yield
 
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    mp = pytest.MonkeyPatch()
-    for key in [k for k in os.environ if k.startswith("COSUGGEST_")]:
-        mp.delenv(key)
     reduced = str(out / "reduced.ndjson")
     inputs = ["--log", str(DATA / "search_log.tsv"), "--ontology", str(DATA / "city_ontology.json")]
     evaluate = ["eval", "--reduced", reduced, "--folds", "3"]
@@ -61,11 +61,9 @@ def artifacts(tmp_path_factory):
         [*evaluate, "--out", str(out / "report.json")],
         [*evaluate, "--format", "csv", "--out", str(out / "report.csv")],
     ]
-    try:
+    with _clean_env():
         for argv in runs:
             assert main(argv) == 0, argv
-    finally:
-        mp.undo()
     return out
 
 
@@ -92,9 +90,9 @@ def _stdout_argv(name, artifacts):
 
 
 @pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
-def test_demo_stdout_bytes_are_pinned(artifacts, clean_env, name):
+def test_demo_stdout_bytes_are_pinned(artifacts, name):
     buffer = io.StringIO()
-    with redirect_stdout(buffer):
+    with _clean_env(), redirect_stdout(buffer):
         assert main(_stdout_argv(name, artifacts)) == 0
     digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
     assert digest == STDOUT_GOLDEN[name]

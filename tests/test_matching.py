@@ -5,7 +5,6 @@ import pytest
 
 from cosuggest.matching import (
     ConceptMatcher,
-    LemmaIndex,
     build_lemma_index,
     match_query,
     merge_lexicon,
@@ -15,8 +14,7 @@ from cosuggest.ontology import ontology_from_dict
 
 
 def _matcher(phrase_map: dict[tuple[str, ...], set[str]]) -> ConceptMatcher:
-    index = LemmaIndex(phrases={p: frozenset(ids) for p, ids in phrase_map.items()})
-    return ConceptMatcher(index=index)
+    return ConceptMatcher(index={p: frozenset(ids) for p, ids in phrase_map.items()})
 
 
 def test_normalize_strips_punctuation_and_suffixes():
@@ -88,14 +86,14 @@ def test_phrase_collision_maps_to_both_classes():
             ],
         }
     )
-    index = build_lemma_index(ont, include_labels=False)
-    assert index.phrases[("green", "area")] == frozenset({"A", "B"})
+    index = build_lemma_index(ont)
+    assert index[("green", "area")] == frozenset({"A", "B"})
 
 
 def test_multiple_phrases_same_class(city_ontology):
-    index = build_lemma_index(city_ontology, include_labels=False)
-    assert index.phrases[("park",)] == frozenset({"park"})
-    assert index.phrases[("public", "garden")] == frozenset({"park"})
+    index = build_lemma_index(city_ontology)
+    assert index[("park",)] == frozenset({"park"})
+    assert index[("public", "garden")] == frozenset({"park"})
 
 
 def test_unannotated_classes_reported(caplog):
@@ -110,15 +108,9 @@ def test_unannotated_classes_reported(caplog):
     )
     with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
         index = build_lemma_index(ont)
-    assert index.unannotated_class_ids == frozenset({"bare"})
     assert "bare" in caplog.text
     # The label is still indexed, so the class remains matchable.
-    assert index.phrases[("bare",)] == frozenset({"bare"})
-
-
-def test_labels_not_indexed_when_disabled(city_ontology):
-    index = build_lemma_index(city_ontology, include_labels=False)
-    assert ("thing",) not in index.phrases
+    assert index[("bare",)] == frozenset({"bare"})
 
 
 def test_stored_lemmas_normalized_at_index_time(city_ontology):
