@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from datetime import datetime, timedelta
 
 import pytest
@@ -102,3 +103,33 @@ def write_log(path, rows: list[tuple[str, str, str, str, str]]) -> None:
     lines = ["AnonID\tQuery\tQueryTime\tItemRank\tClickURL"]
     lines += ["\t".join(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def topic_dataset(
+    seed: int, n_sessions: int, n_topics: int = 8, topic_size: int = 5
+) -> ReducedDataset:
+    """Seeded sessions that mostly stay inside one topic of concepts.
+
+    About one first query in eight matches nothing (an empty context), and
+    about one query in twenty also names a concept of another topic, so
+    rare pairs exist whose weight a single held-out session can take to 0.
+    """
+    rng = random.Random(seed)
+    universe = [f"c{i:02d}" for i in range(n_topics * topic_size)]
+    topics = [universe[t * topic_size : (t + 1) * topic_size] for t in range(n_topics)]
+    data = {}
+    for i in range(n_sessions):
+        topic = rng.choice(topics)
+        per_query = []
+        for q in range(rng.choice((1, 2, 2, 3, 3, 4, 5))):
+            if q == 0 and rng.random() < 0.125:
+                per_query.append(set())
+                continue
+            concepts = set(rng.sample(topic, rng.randint(1, 2)))
+            if rng.random() < 0.05:
+                concepts.add(rng.choice(universe))
+            per_query.append(concepts)
+        if not any(per_query):
+            per_query.append({rng.choice(topic)})
+        data[f"u{i:04d}#1"] = per_query
+    return make_dataset(data)

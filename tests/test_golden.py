@@ -6,6 +6,7 @@ alters the pipeline's output and has to say so by updating the pins.
 
 import hashlib
 import io
+import json
 import os
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
@@ -13,6 +14,10 @@ from pathlib import Path
 import pytest
 
 from cosuggest.cli import main
+from cosuggest.config import PipelineConfig
+from cosuggest.evaluation import run_experiment_on_dataset
+
+from conftest import topic_dataset
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -36,7 +41,13 @@ STDOUT_GOLDEN = {
     "ont-metrics-json": "099c43aee78851a2aa51bbe84d7e3984e9f2b8ac703e524cd9467849ace5b14f",
     "ont-metrics-text": "91df5a90627a78189f4230295666cda678188b99c2c683986efbe87ad2dd7ceb",
     "suggest": "d008c08d160ea593ec552d9ff3d6c3034c370bbe79b7aec83430d32852b4e219",
+    "eval-slack-csv": "64412c41c7ab6025328c855d18a9887f2a1445f095293a13c598b2a0095eae75",
 }
+
+# ``run_experiment_on_dataset`` over ``topic_dataset(2024, 2000)``: 40
+# concepts, empty first-query contexts, and hundreds of weight-1 pairs, so
+# held-out sessions take training edges to 0 and contexts repeat in a fold.
+MID_SIZE_REPORT = "b13baff941974e63439481973ed6f75697e7379c41e098e673732f0fc462269b"
 
 
 @contextmanager
@@ -86,6 +97,10 @@ def _stdout_argv(name, artifacts):
             "suggest", *ontology, "--lexicon", str(DATA / "lexicon.json"),
             "--clusters", str(artifacts / "clusters.json"), "--query", "museum near the beach",
         ],
+        "eval-slack-csv": [
+            "eval", "--reduced", str(artifacts / "reduced.ndjson"), "--folds", "3",
+            "--strategy", "slack", "--format", "csv",
+        ],
     }[name]
 
 
@@ -96,3 +111,9 @@ def test_demo_stdout_bytes_are_pinned(artifacts, name):
         assert main(_stdout_argv(name, artifacts)) == 0
     digest = hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
     assert digest == STDOUT_GOLDEN[name]
+
+
+def test_mid_size_report_bytes_are_pinned():
+    report = run_experiment_on_dataset(topic_dataset(2024, 2000), PipelineConfig(prune_min_weight=2))
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MID_SIZE_REPORT
