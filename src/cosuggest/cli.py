@@ -21,6 +21,7 @@ from cosuggest.config import FIELD_NAMES, PipelineConfig, provenance, resolve_co
 from cosuggest.cooccurrence import build_graph, prune, read_graph_tsv, write_graph_tsv
 from cosuggest.copra import cluster_stats, copra_cluster, read_clusters_json, write_clusters_json
 from cosuggest.evaluation import (
+    STRATEGY_ORDER,
     build_matcher,
     copra_config,
     f1_by_length_csv,
@@ -169,10 +170,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         raise UsageError("eval requires --reduced, or --log plus --ontology")
 
-    report = run_experiment_on_dataset(ds, config)
-    if args.strategy != "all":
-        wanted = Strategy.from_name(args.strategy).value
-        report.strategies = {wanted: report.strategies[wanted]}
+    if args.strategy == "all":
+        strategies = STRATEGY_ORDER
+    else:
+        strategies = (Strategy.from_name(args.strategy),)
+    report = run_experiment_on_dataset(ds, config, strategies)
 
     if config.format == "json":
         payload = {**report.to_dict(), "provenance": provenance(config, "eval")}

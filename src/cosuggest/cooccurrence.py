@@ -51,6 +51,24 @@ class CooccurrenceGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def __sub__(self, other: "CooccurrenceGraph") -> "CooccurrenceGraph":
+        """Weights of ``self`` minus those of ``other``, e.g. all sessions minus a fold.
+
+        Edges that reach 0 are dropped and the nodes are the endpoints of the
+        edges that remain, as :func:`build_graph` of the difference would give.
+        Raises ``ValueError`` when an edge of ``other`` outweighs ``self``'s.
+        """
+        edges = dict(self.edges)
+        for pair, w in other.edges.items():
+            left = edges.get(pair, 0) - w
+            if left < 0:
+                raise ValueError(f"cannot subtract weight {w} from edge {pair!r}")
+            if left:
+                edges[pair] = left
+            else:
+                del edges[pair]
+        return CooccurrenceGraph(nodes={n for pair in edges for n in pair}, edges=edges)
+
 
 def build_graph(sessions: Iterable[SearchSession]) -> CooccurrenceGraph:
     """Accumulate +1 per session onto every unordered pair of its distinct concepts.

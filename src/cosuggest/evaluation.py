@@ -8,6 +8,12 @@ is the concept set of the first query, the ground truth is the concepts
 of the remaining queries minus the context, i.e. what the user actually
 went on to explore.
 
+The co-occurrence graph of all sessions is counted once.  A fold's training
+graph is that graph minus the graph of its held-out sessions: a weight
+counts sessions, so the difference is exactly the graph of the training
+sessions.  Within a fold each distinct context is passed to ``suggest``
+once per strategy (``suggest`` is pure); its sessions share the answer.
+
 Metrics are macro-averaged: per-session recall and precision are averaged
 within a fold, fold values are averaged into the report.  Sessions with
 an empty ground truth are excluded; sessions without suggestions are, by
@@ -33,7 +39,7 @@ from statistics import fmean
 from typing import NamedTuple
 
 from cosuggest.config import PipelineConfig
-from cosuggest.cooccurrence import build_graph, prune
+from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptCluster, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
     ReducedDataset,
@@ -82,6 +88,27 @@ class SessionOutcome:
             raise ValueError("hits cannot exceed suggested or ground-truth size")
 
 
+def _context_and_truth(
+    concept_sets: Sequence[frozenset[str]],
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The first query's concepts, and the later queries' concepts not among them."""
+    if len(concept_sets) < 2:
+        raise ValueError("evaluation needs a session with at least two queries")
+    context = frozenset(concept_sets[0])
+    return context, frozenset().union(*concept_sets[1:]) - context
+
+
+def _outcome(
+    session_id: str,
+    session_length: int,
+    context: frozenset[str],
+    ground_truth: frozenset[str],
+    suggested: frozenset[str],
+) -> SessionOutcome:
+    hits = len(suggested & ground_truth)
+    return SessionOutcome(session_id, session_length, context, ground_truth, suggested, hits)
+
+
 def outcome_from_concept_sets(
     session_id: str,
     concept_sets: Sequence[frozenset[str]],
@@ -89,22 +116,9 @@ def outcome_from_concept_sets(
     strategy: Strategy,
 ) -> SessionOutcome:
     """Score one session from its per-query concept sets (first query = context)."""
-    if len(concept_sets) < 2:
-        raise ValueError("evaluation needs a session with at least two queries")
-    context = frozenset(concept_sets[0])
-    remainder: set[str] = set()
-    for cset in concept_sets[1:]:
-        remainder.update(cset)
-    ground_truth = frozenset(remainder - context)
+    context, ground_truth = _context_and_truth(concept_sets)
     suggested = suggest(clusters, context, strategy).suggested
-    return SessionOutcome(
-        session_id=session_id,
-        session_length=len(concept_sets),
-        context=context,
-        ground_truth=ground_truth,
-        suggested=suggested,
-        hits=len(suggested & ground_truth),
-    )
+    return _outcome(session_id, len(concept_sets), context, ground_truth, suggested)
 
 
 def _session_f1(outcome: SessionOutcome) -> float:
@@ -283,21 +297,27 @@ def f1_by_length_csv(rows: list[LengthF1]) -> str:
 
 def _run_fold(
     ds: ReducedDataset,
+    full: CooccurrenceGraph,
     test_ids: frozenset[str],
     fold: int,
     config: PipelineConfig,
+    strategies: Sequence[Strategy],
 ) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
-    train = (s for s in ds.sessions if s.session_id not in test_ids)
-    graph = prune(build_graph(train), config.prune_min_weight)
+    test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
+    graph = prune(full - build_graph(test_sessions), config.prune_min_weight)
     clusters = copra_cluster(graph, copra_config(config)).clusters if graph.nodes else []
 
-    test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
+    scored = [_context_and_truth(s.concepts) for s in test_sessions]
     results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}
-    for strategy in STRATEGY_ORDER:
-        outcomes = [
-            outcome_from_concept_sets(s.session_id, s.concepts, clusters, strategy)
-            for s in test_sessions
-        ]
+    for strategy in strategies:
+        suggested: dict[frozenset[str], frozenset[str]] = {}
+        outcomes = []
+        for session, (context, truth) in zip(test_sessions, scored):
+            if context not in suggested:
+                suggested[context] = suggest(clusters, context, strategy).suggested
+            answer = suggested[context]
+            length = len(session.concepts)
+            outcomes.append(_outcome(session.session_id, length, context, truth, answer))
         try:
             metrics = aggregate(
                 outcomes,
@@ -311,19 +331,23 @@ def _run_fold(
 
 
 def run_experiment_on_dataset(
-    ds: ReducedDataset, config: PipelineConfig
+    ds: ReducedDataset,
+    config: PipelineConfig,
+    strategies: Sequence[Strategy] = STRATEGY_ORDER,
 ) -> EvaluationReport:
-    """Per-fold training and scoring of all three strategies on a reduced dataset."""
+    """Per-fold training, then scoring of the given strategies on a reduced dataset."""
     held_out = make_folds(ds, config.folds, config.seed)
+    full = build_graph(ds.sessions)
     fold_results = [
-        _run_fold(ds, test_ids, fold, config) for fold, test_ids in enumerate(held_out)
+        _run_fold(ds, full, test_ids, fold, config, strategies)
+        for fold, test_ids in enumerate(held_out)
     ]
 
-    strategies: dict[str, StrategyReport] = {}
-    for strategy in STRATEGY_ORDER:
+    per_strategy: dict[str, StrategyReport] = {}
+    for strategy in strategies:
         folds = [result[strategy][0] for result in fold_results]
         pooled = [outcome for result in fold_results for outcome in result[strategy][1]]
-        strategies[strategy.value] = StrategyReport(
+        per_strategy[strategy.value] = StrategyReport(
             folds=folds,
             summary=summarize_folds(folds),
             f1_by_length=f1_by_length(pooled),
@@ -336,7 +360,7 @@ def run_experiment_on_dataset(
             "session_length": session_length_stats(ds).to_dict(),
         },
         fold_count=config.folds,
-        strategies=strategies,
+        strategies=per_strategy,
     )
 
 

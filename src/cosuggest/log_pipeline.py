@@ -80,6 +80,22 @@ class ReducedDataset:
         )
 
 
+def parse_timestamp(text: str) -> datetime:
+    """``datetime.strptime(text, TIMESTAMP_FORMAT)``, with a fast path.
+
+    A stamp of exactly the ``YYYY-MM-DD HH:MM:SS`` shape goes through
+    ``datetime.fromisoformat``; any other shape, or a stamp it rejects, goes
+    to ``strptime``, which also accepts unpadded fields and non-ASCII digits.
+    Either way the value, or the ``ValueError``, is ``strptime``'s.
+    """
+    if len(text) == 19 and text[4] + text[7] + text[10] + text[13] + text[16] == "-- ::":
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass
+    return datetime.strptime(text, TIMESTAMP_FORMAT)
+
+
 def parse_log(path: str | Path) -> ParseResult:
     """Parse a TSV query log into one record per (user, query, timestamp) triple.
 
@@ -108,7 +124,7 @@ def parse_log(path: str | Path) -> ParseResult:
                 skipped += 1
                 continue
             try:
-                ts = datetime.strptime(fields[2].strip(), TIMESTAMP_FORMAT)
+                ts = parse_timestamp(fields[2].strip())
             except ValueError:
                 skipped += 1
                 continue
@@ -248,7 +264,7 @@ def _session_from_json(payload: dict) -> SearchSession:
         QueryRecord(
             user_id=user_id,
             query_text=q["text"],
-            timestamp=datetime.strptime(q["ts"], TIMESTAMP_FORMAT),
+            timestamp=parse_timestamp(q["ts"]),
         )
         for q in queries
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import cosuggest.evaluation
 from cosuggest.cli import main
 from cosuggest.config import (
     PipelineConfig,
@@ -219,6 +220,27 @@ def test_eval_single_strategy_filter(ontology_file, log_file, tmp_path, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert list(payload["strategies"]) == ["strict"]
+
+
+def test_eval_single_strategy_scores_only_that_strategy(
+    ontology_file, log_file, monkeypatch, capsys
+):
+    real_suggest = cosuggest.evaluation.suggest
+    strategies = []
+
+    def counting_suggest(clusters, context, strategy):
+        strategies.append(strategy.value)
+        return real_suggest(clusters, context, strategy)
+
+    monkeypatch.setattr(cosuggest.evaluation, "suggest", counting_suggest)
+    argv = ["eval", "--log", str(log_file), "--ontology", str(ontology_file), "--folds", "2"]
+    assert main([*argv, "--strategy", "all"]) == 0
+    every = list(strategies)
+    strategies.clear()
+    assert main([*argv, "--strategy", "slack"]) == 0
+    capsys.readouterr()
+    assert strategies and set(strategies) == {"slack"}
+    assert 3 * len(strategies) == len(every)
 
 
 def test_eval_requires_inputs(capsys):

@@ -11,7 +11,9 @@ from cosuggest.cooccurrence import (
     write_graph_tsv,
 )
 
-from conftest import make_dataset
+from cosuggest.evaluation import make_folds
+
+from conftest import make_dataset, topic_dataset
 
 
 def test_build_graph_counts_session_pairs():
@@ -116,3 +118,30 @@ def test_graph_tsv_rejects_malformed(tmp_path):
     path.write_text("A\tB\n", encoding="utf-8")
     with pytest.raises(ValueError, match="3 tab-separated"):
         read_graph_tsv(path)
+
+
+def test_full_minus_fold_graph_equals_training_graph():
+    zeroed_edges = vanished_nodes = 0
+    for seed in range(24):
+        ds = topic_dataset(seed, 30 + 5 * seed)
+        full = build_graph(ds.sessions)
+        for test_ids in make_folds(ds, 3 + seed % 4, seed):
+            held_out = build_graph(s for s in ds.sessions if s.session_id in test_ids)
+            rebuilt = build_graph(s for s in ds.sessions if s.session_id not in test_ids)
+            train = full - held_out
+            assert train.edges == rebuilt.edges and train.nodes == rebuilt.nodes
+            zeroed_edges += len(set(full.edges) - set(train.edges))
+            vanished_nodes += len(full.nodes - train.nodes)
+    assert zeroed_edges and vanished_nodes  # both cases were exercised
+
+
+def test_subtracting_a_graph_that_is_not_a_subset_raises():
+    g = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "B", "C"}]}).sessions)
+    heavier = CooccurrenceGraph()
+    heavier.add_edge("A", "B", 3)
+    missing = CooccurrenceGraph()
+    missing.add_edge("B", "D")
+    for other in (heavier, missing):
+        with pytest.raises(ValueError):
+            g - other
+    assert (g - g).edges == {} and (g - g).nodes == set()

@@ -3,20 +3,25 @@ import random
 
 import pytest
 
+import cosuggest.evaluation
 from cosuggest.config import PipelineConfig
-from cosuggest.copra import ConceptCluster
+from cosuggest.cooccurrence import build_graph, prune
+from cosuggest.copra import ConceptCluster, copra_cluster
 from cosuggest.evaluation import (
+    STRATEGY_ORDER,
     SessionOutcome,
+    _run_fold,
     aggregate,
+    copra_config,
     f1_by_length,
     make_folds,
     outcome_from_concept_sets,
     run_experiment_on_dataset,
     summarize_folds,
 )
-from cosuggest.suggestion import Strategy
+from cosuggest.suggestion import Strategy, suggest
 
-from conftest import make_dataset
+from conftest import make_dataset, topic_dataset
 
 
 def _outcome(sid, length, context, gt, suggested):
@@ -321,3 +326,39 @@ def test_experiment_rates_within_bounds():
         assert 0.0 <= summary.precision <= 1.0
         assert 0.0 <= summary.f1 <= 1.0
         assert summary.richness_mean <= summary.richness_max
+
+
+def test_fold_outcomes_match_per_session_oracle(monkeypatch):
+    """Scoring once per distinct context gives each session's own outcome."""
+    calls = []
+
+    def counting_suggest(clusters, context, strategy):
+        calls.append((context, strategy))
+        return suggest(clusters, context, strategy)
+
+    monkeypatch.setattr(cosuggest.evaluation, "suggest", counting_suggest)
+    empty_contexts = 0
+    for seed in range(6):
+        ds = topic_dataset(100 + seed, 300, n_topics=4)
+        config = _config(folds=3 + seed % 3, seed=seed)
+        full = build_graph(ds.sessions)
+        for fold, test_ids in enumerate(make_folds(ds, config.folds, config.seed)):
+            calls.clear()
+            results = _run_fold(ds, full, test_ids, fold, config, STRATEGY_ORDER)
+            assert len(calls) == len(set(calls))
+
+            train = (s for s in ds.sessions if s.session_id not in test_ids)
+            graph = prune(build_graph(train), config.prune_min_weight)
+            clusters = copra_cluster(graph, copra_config(config)).clusters
+            test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
+            contexts = {s.concepts[0] for s in test_sessions}
+            empty_contexts += frozenset() in contexts
+            assert set(calls) == {(c, st) for c in contexts for st in STRATEGY_ORDER}
+            for strategy in STRATEGY_ORDER:
+                expected = [
+                    outcome_from_concept_sets(s.session_id, s.concepts, clusters, strategy)
+                    for s in test_sessions
+                ]
+                assert results[strategy][1] == expected
+                assert results[strategy][0] == aggregate(expected, fold=fold)
+    assert empty_contexts

@@ -114,6 +114,7 @@ def test_demo_stdout_bytes_are_pinned(artifacts, name):
 
 
 def test_mid_size_report_bytes_are_pinned():
-    report = run_experiment_on_dataset(topic_dataset(2024, 2000), PipelineConfig(prune_min_weight=2))
+    config = PipelineConfig(prune_min_weight=2)
+    report = run_experiment_on_dataset(topic_dataset(2024, 2000), config)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MID_SIZE_REPORT

@@ -1,11 +1,13 @@
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 
 from cosuggest.log_pipeline import (
+    TIMESTAMP_FORMAT,
     QueryRecord,
     parse_log,
+    parse_timestamp,
     read_reduced_ndjson,
     reduce_dataset,
     session_length_stats,
@@ -21,6 +23,63 @@ GAP_30 = timedelta(minutes=30)
 
 def _ts(minute: int) -> str:
     return f"2006-03-01 09:{minute:02d}:00"
+
+
+# ---------------------------------------------------------- parse_timestamp
+
+def _strptime_or_error(text):
+    try:
+        return datetime.strptime(text, TIMESTAMP_FORMAT)
+    except ValueError:
+        return ValueError
+
+
+def _parse_timestamp_or_error(text):
+    try:
+        return parse_timestamp(text)
+    except ValueError:
+        return ValueError
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def test_parse_timestamp_agrees_with_strptime():
+    stamps = [
+        "2006-03-01 12:00:00",
+        "2006-3-1 1:2:3",
+        "2006-03-01T12:00:00",
+        "2006-03-01 12:00:00.5",
+        "2006-03-01 12:00:00+01:00",
+        "2006-02-30 12:00:00",
+        "2006-03-01 24:00:00",
+        "2006-03-01 12:00:60",
+        "2006-03-01 12:00-00",
+        "2006-13-01 12:00:00",
+        "0000-03-01 12:00:00",
+        "2006-03-01 12:00:0 ",
+        "+006-03-01 12:00:00",
+        "-006-03-01 12:00:00",
+        "2006-03-01 12:00:00".translate(ARABIC_INDIC),
+        "2006-03-01 12:00:00".translate(FULLWIDTH),
+        "2006-03-01 12:00:0" + "5".translate(FULLWIDTH),
+    ]
+    # One- and two-character mutations of valid stamps, most of them 19 long.
+    rng = random.Random(11)
+    alphabet = "0123456789-: T+.Z" + "٣５"
+    for _ in range(3000):
+        valid = datetime(rng.randint(1, 2999), rng.randint(1, 12), rng.randint(1, 28),
+                         rng.randint(0, 23), rng.randint(0, 59), rng.randint(0, 59))
+        chars = list(f"{valid.year:04d}-{valid:%m-%d %H:%M:%S}")
+        for _ in range(rng.randint(0, 2)):
+            chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+        stamps.append("".join(chars))
+    for text in stamps:
+        assert _parse_timestamp_or_error(text) == _strptime_or_error(text), text
+    assert parse_timestamp("2006-3-1 1:2:3") == datetime(2006, 3, 1, 1, 2, 3)
+    with pytest.raises(ValueError):
+        parse_timestamp("2006-03-01 24:00:00")
 
 
 # ---------------------------------------------------------------- parse_log
