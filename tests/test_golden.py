@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +21,8 @@ from cosuggest.evaluation import run_experiment_on_dataset
 
 from conftest import topic_dataset
 
-DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+TESTS = Path(__file__).resolve().parent
+DATA = TESTS.parent / "demos" / "data"
 
 GOLDEN = {
     "reduced.ndjson": "93376848b013a3d701539a26e91eec971182c073e397091b03676308d1d5433a",
@@ -113,8 +116,31 @@ def test_demo_stdout_bytes_are_pinned(artifacts, name):
     assert digest == STDOUT_GOLDEN[name]
 
 
-def test_mid_size_report_bytes_are_pinned():
+def mid_size_report_text() -> str:
     config = PipelineConfig(prune_min_weight=2)
     report = run_experiment_on_dataset(topic_dataset(2024, 2000), config)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_mid_size_report_bytes_are_pinned():
+    text = mid_size_report_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MID_SIZE_REPORT
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "987"])
+def test_pins_hold_in_fresh_processes_under_other_hash_seeds(artifacts, hash_seed):
+    """String hashing is randomized per process; no output may depend on it."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("COSUGGEST_")}
+    env["PYTHONHASHSEED"] = hash_seed
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    runs = {
+        MID_SIZE_REPORT: [
+            "-c", "import sys, test_golden; sys.stdout.write(test_golden.mid_size_report_text())",
+        ],
+        STDOUT_GOLDEN["eval-slack-csv"]: [
+            "-m", "cosuggest.cli", *_stdout_argv("eval-slack-csv", artifacts),
+        ],
+    }
+    for pin, args in runs.items():
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+        assert hashlib.sha256(done.stdout).hexdigest() == pin, args
