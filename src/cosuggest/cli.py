@@ -21,7 +21,6 @@ from cosuggest.config import FIELD_NAMES, PipelineConfig, provenance, resolve_co
 from cosuggest.cooccurrence import build_graph, prune, read_graph_tsv, write_graph_tsv
 from cosuggest.copra import cluster_stats, copra_cluster, read_clusters_json, write_clusters_json
 from cosuggest.evaluation import (
-    STRATEGY_ORDER,
     build_matcher,
     copra_config,
     f1_by_length_csv,
@@ -171,9 +170,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise UsageError("eval requires --reduced, or --log plus --ontology")
 
     if args.strategy == "all":
-        strategies = STRATEGY_ORDER
+        strategies = tuple(Strategy)
     else:
-        strategies = (Strategy.from_name(args.strategy),)
+        strategies = (Strategy(args.strategy),)
     report = run_experiment_on_dataset(ds, config, strategies)
 
     if config.format == "json":
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=None)
     p.add_argument(
         "--strategy",
-        choices=("slack", "slack-selective", "strict", "all"),
+        choices=(*(s.value for s in Strategy), "all"),
         default="all",
     )
     p.add_argument(

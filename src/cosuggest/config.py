@@ -50,9 +50,6 @@ class PipelineConfig:
         if self.empty_suggestion_precision not in ("exclude", "zero", "one"):
             raise ValueError("empty_suggestion_precision must be exclude, zero or one")
 
-    def replace(self, **changes) -> "PipelineConfig":
-        return dataclasses.replace(self, **changes)
-
     def pipeline_dict(self) -> dict:
         """Algorithm parameters only: what determines output given the data.
 

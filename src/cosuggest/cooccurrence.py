@@ -6,6 +6,7 @@ both endpoint concepts were referenced (anywhere within the session).
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -20,10 +21,17 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 
 @dataclass
 class CooccurrenceGraph:
-    """Undirected weighted graph over concept ids; pairs stored canonically."""
+    """Undirected weighted graph over concept ids; pairs stored canonically.
 
-    nodes: set[str] = field(default_factory=set)
+    A graph is its edge weights: its nodes are the endpoints of its edges,
+    so it never holds an isolated node.
+    """
+
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
+
+    @property
+    def nodes(self) -> set[str]:
+        return {n for pair in self.edges for n in pair}
 
     def weight(self, a: str, b: str) -> int:
         return self.edges.get(_pair(a, b), 0)
@@ -33,8 +41,6 @@ class CooccurrenceGraph:
             raise ValueError(f"self-loop on {a!r} is not allowed")
         if weight < 1:
             raise ValueError("edge weight must be >= 1")
-        self.nodes.add(a)
-        self.nodes.add(b)
         key = _pair(a, b)
         self.edges[key] = self.edges.get(key, 0) + weight
 
@@ -48,14 +54,11 @@ class CooccurrenceGraph:
             lst.sort()
         return adj
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __sub__(self, other: "CooccurrenceGraph") -> "CooccurrenceGraph":
         """Weights of ``self`` minus those of ``other``, e.g. all sessions minus a fold.
 
-        Edges that reach 0 are dropped and the nodes are the endpoints of the
-        edges that remain, as :func:`build_graph` of the difference would give.
+        Edges that reach 0 are dropped, so their endpoints go too unless another
+        edge keeps them, as :func:`build_graph` of the difference would give.
         Raises ``ValueError`` when an edge of ``other`` outweighs ``self``'s.
         """
         edges = dict(self.edges)
@@ -67,7 +70,7 @@ class CooccurrenceGraph:
                 edges[pair] = left
             else:
                 del edges[pair]
-        return CooccurrenceGraph(nodes={n for pair in edges for n in pair}, edges=edges)
+        return CooccurrenceGraph(edges)
 
 
 def build_graph(sessions: Iterable[SearchSession]) -> CooccurrenceGraph:
@@ -76,20 +79,17 @@ def build_graph(sessions: Iterable[SearchSession]) -> CooccurrenceGraph:
     Sessions referencing fewer than two distinct concepts contribute nothing;
     duplicate references within a session count once (no self-loops).
     """
-    graph = CooccurrenceGraph()
+    counts: Counter[tuple[str, str]] = Counter()
     for session in sessions:
-        for a, b in combinations(sorted(set().union(*session.concepts)), 2):
-            graph.add_edge(a, b)
-    return graph
+        counts.update(combinations(sorted(set().union(*session.concepts)), 2))
+    return CooccurrenceGraph(dict(counts))
 
 
 def prune(g: CooccurrenceGraph, min_weight: int) -> CooccurrenceGraph:
-    """Drop edges lighter than ``min_weight``, then drop isolated nodes."""
+    """Drop edges lighter than ``min_weight``; nodes left without an edge go too."""
     if min_weight < 1:
         raise ValueError("min_weight must be >= 1")
-    kept = {pair: w for pair, w in g.edges.items() if w >= min_weight}
-    nodes = {n for pair in kept for n in pair}
-    return CooccurrenceGraph(nodes=nodes, edges=kept)
+    return CooccurrenceGraph({pair: w for pair, w in g.edges.items() if w >= min_weight})
 
 
 def write_graph_tsv(g: CooccurrenceGraph, path: str | Path) -> None:

@@ -1,18 +1,22 @@
 """Cross-validated evaluation of the suggestion strategies.
 
-Sessions with at least two queries are shuffled with a seeded RNG and
-dealt round-robin into k folds.  For each fold, clusters are trained on
-everything outside it (shorter sessions always train, they are never
-tested) and each strategy is scored on the fold's sessions: the context
-is the concept set of the first query, the ground truth is the concepts
-of the remaining queries minus the context, i.e. what the user actually
-went on to explore.
+Sessions with at least two queries are sorted by id, shuffled with a
+seeded RNG and dealt round-robin into k folds of held-out sessions.  For
+each fold, clusters are trained on everything outside it (shorter
+sessions always train, they are never tested) and each strategy is scored
+on the fold's sessions: the context is the concept set of the first query,
+the ground truth is the concepts of the remaining queries minus the
+context, i.e. what the user actually went on to explore.
 
 The co-occurrence graph of all sessions is counted once.  A fold's training
 graph is that graph minus the graph of its held-out sessions: a weight
 counts sessions, so the difference is exactly the graph of the training
 sessions.  Within a fold each distinct context is passed to ``suggest``
 once per strategy (``suggest`` is pure); its sessions share the answer.
+A session's outcome keeps only what the metrics read: its length, ground
+truth, suggestions and hits.  Every metric is a ``fmean`` (exactly rounded
+through ``math.fsum``), a minimum, a maximum or a count, so the order in
+which a fold's sessions are scored cannot change a report byte.
 
 Metrics are macro-averaged: per-session recall and precision are averaged
 within a fold, fold values are averaged into the report.  Sessions with
@@ -33,7 +37,7 @@ import csv
 import io
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import timedelta
 from statistics import fmean
 from typing import NamedTuple
@@ -43,6 +47,7 @@ from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptCluster, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
     ReducedDataset,
+    SearchSession,
     parse_log,
     reduce_dataset,
     session_length_stats,
@@ -52,40 +57,35 @@ from cosuggest.matching import ConceptMatcher, load_lexicon
 from cosuggest.ontology import load_ontology, subset_by_facet
 from cosuggest.suggestion import Strategy, suggest
 
-STRATEGY_ORDER = (Strategy.SLACK, Strategy.SLACK_SELECTIVE, Strategy.STRICT)
 
-
-def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[frozenset[str]]:
+def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession]]:
     """Seeded shuffle of eligible (>=2 query) sessions, dealt round-robin.
 
-    Returns the k held-out session-id sets, a partition of the eligible
-    sessions whose sizes differ by at most one.  Raises when fewer eligible
-    sessions than folds exist.
+    The eligible sessions are sorted by id before the shuffle, so the folds
+    depend on the ids and the seed only, not on the order of ``ds``.
+    Returns the k held-out session lists, in shuffle order: a partition of
+    the eligible sessions whose sizes differ by at most one.  Raises when
+    fewer eligible sessions than folds exist.
     """
     if k < 2:
         raise ValueError("fold count must be >= 2")
-    eligible = sorted(s.session_id for s in ds.sessions if len(s.queries) >= 2)
+    eligible = sorted(
+        (s for s in ds.sessions if len(s.queries) >= 2), key=lambda s: s.session_id
+    )
     if len(eligible) < k:
         raise ValueError(
             f"only {len(eligible)} sessions with >= 2 queries, need at least {k}"
         )
     rng = random.Random(seed)
     rng.shuffle(eligible)
-    return [frozenset(eligible[fold::k]) for fold in range(k)]
+    return [eligible[fold::k] for fold in range(k)]
 
 
-@dataclass(frozen=True)
-class SessionOutcome:
-    session_id: str
+class SessionOutcome(NamedTuple):
     session_length: int
-    context: frozenset[str]
     ground_truth: frozenset[str]
     suggested: frozenset[str]
     hits: int
-
-    def __post_init__(self) -> None:
-        if self.hits > min(len(self.suggested), len(self.ground_truth)):
-            raise ValueError("hits cannot exceed suggested or ground-truth size")
 
 
 def _context_and_truth(
@@ -99,18 +99,12 @@ def _context_and_truth(
 
 
 def _outcome(
-    session_id: str,
-    session_length: int,
-    context: frozenset[str],
-    ground_truth: frozenset[str],
-    suggested: frozenset[str],
+    session_length: int, ground_truth: frozenset[str], suggested: frozenset[str]
 ) -> SessionOutcome:
-    hits = len(suggested & ground_truth)
-    return SessionOutcome(session_id, session_length, context, ground_truth, suggested, hits)
+    return SessionOutcome(session_length, ground_truth, suggested, len(suggested & ground_truth))
 
 
 def outcome_from_concept_sets(
-    session_id: str,
     concept_sets: Sequence[frozenset[str]],
     clusters: list[ConceptCluster],
     strategy: Strategy,
@@ -118,15 +112,15 @@ def outcome_from_concept_sets(
     """Score one session from its per-query concept sets (first query = context)."""
     context, ground_truth = _context_and_truth(concept_sets)
     suggested = suggest(clusters, context, strategy).suggested
-    return _outcome(session_id, len(concept_sets), context, ground_truth, suggested)
+    return _outcome(len(concept_sets), ground_truth, suggested)
 
 
 def _session_f1(outcome: SessionOutcome) -> float:
     if outcome.hits == 0:
         return 0.0
-    precision = outcome.hits / len(outcome.suggested)
-    recall = outcome.hits / len(outcome.ground_truth)
-    return 2 * precision * recall / (precision + recall)
+    return _harmonic(
+        outcome.hits / len(outcome.suggested), outcome.hits / len(outcome.ground_truth)
+    )
 
 
 def _harmonic(precision: float, recall: float) -> float:
@@ -296,16 +290,14 @@ def f1_by_length_csv(rows: list[LengthF1]) -> str:
 
 
 def _run_fold(
-    ds: ReducedDataset,
     full: CooccurrenceGraph,
-    test_ids: frozenset[str],
+    test_sessions: list[SearchSession],
     fold: int,
     config: PipelineConfig,
     strategies: Sequence[Strategy],
 ) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
-    test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
     graph = prune(full - build_graph(test_sessions), config.prune_min_weight)
-    clusters = copra_cluster(graph, copra_config(config)).clusters if graph.nodes else []
+    clusters = copra_cluster(graph, copra_config(config)).clusters if graph.edges else []
 
     scored = [_context_and_truth(s.concepts) for s in test_sessions]
     results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}
@@ -315,9 +307,7 @@ def _run_fold(
         for session, (context, truth) in zip(test_sessions, scored):
             if context not in suggested:
                 suggested[context] = suggest(clusters, context, strategy).suggested
-            answer = suggested[context]
-            length = len(session.concepts)
-            outcomes.append(_outcome(session.session_id, length, context, truth, answer))
+            outcomes.append(_outcome(len(session.concepts), truth, suggested[context]))
         try:
             metrics = aggregate(
                 outcomes,
@@ -333,14 +323,14 @@ def _run_fold(
 def run_experiment_on_dataset(
     ds: ReducedDataset,
     config: PipelineConfig,
-    strategies: Sequence[Strategy] = STRATEGY_ORDER,
+    strategies: Sequence[Strategy] = tuple(Strategy),
 ) -> EvaluationReport:
     """Per-fold training, then scoring of the given strategies on a reduced dataset."""
     held_out = make_folds(ds, config.folds, config.seed)
     full = build_graph(ds.sessions)
     fold_results = [
-        _run_fold(ds, full, test_ids, fold, config, strategies)
-        for fold, test_ids in enumerate(held_out)
+        _run_fold(full, test_sessions, fold, config, strategies)
+        for fold, test_sessions in enumerate(held_out)
     ]
 
     per_strategy: dict[str, StrategyReport] = {}
@@ -396,6 +386,6 @@ def run_experiment(
     log_path: str, ontology_path: str, config: PipelineConfig
 ) -> EvaluationReport:
     """Full pipeline: parse, sessionize, reduce, then cross-validated scoring."""
-    config = config.replace(log_path=log_path, ontology_path=ontology_path)
+    config = replace(config, log_path=log_path, ontology_path=ontology_path)
     ds = reduce_from_config(config)
     return run_experiment_on_dataset(ds, config)

@@ -29,14 +29,6 @@ class Strategy(Enum):
     SLACK_SELECTIVE = "slack-selective"
     STRICT = "strict"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Strategy":
-        normalized = name.strip().lower().replace("_", "-")
-        for strategy in cls:
-            if strategy.value == normalized:
-                return strategy
-        raise ValueError(f"unknown strategy {name!r}")
-
 
 @dataclass(frozen=True)
 class SuggestionResult:

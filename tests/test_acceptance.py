@@ -143,6 +143,7 @@ def test_criterion_4_graph_oracle_and_prune_idempotence():
     for x, y in combinations(universe, 2):
         brute = sum(1 for u in unions.values() if x in u and y in u)
         assert g.weight(x, y) == brute
+    assert g.nodes == {c for u in unions.values() if len(u) >= 2 for c in u}
 
     for threshold in range(1, 6):
         once = prune(g, threshold)
@@ -294,7 +295,7 @@ def test_criterion_9_end_to_end_sanity(tmp_path):
     assert frozenset({"park", "beach"}) in {c.members for c in clusters}
 
     concepts = next(s.concepts for s in ds.sessions if s.session_id == target)
-    outcome = outcome_from_concept_sets(target, concepts, clusters, Strategy.SLACK)
+    outcome = outcome_from_concept_sets(concepts, clusters, Strategy.SLACK)
     assert outcome.hits / len(outcome.ground_truth) == 1.0   # recall on this session
     assert outcome.hits / len(outcome.suggested) == 1.0      # precision on this session
     _passed(9, f"pair cluster learned; perfect session score; pipeline {elapsed:.2f} s")

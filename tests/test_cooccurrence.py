@@ -125,8 +125,9 @@ def test_full_minus_fold_graph_equals_training_graph():
     for seed in range(24):
         ds = topic_dataset(seed, 30 + 5 * seed)
         full = build_graph(ds.sessions)
-        for test_ids in make_folds(ds, 3 + seed % 4, seed):
-            held_out = build_graph(s for s in ds.sessions if s.session_id in test_ids)
+        for test_sessions in make_folds(ds, 3 + seed % 4, seed):
+            test_ids = {s.session_id for s in test_sessions}
+            held_out = build_graph(test_sessions)
             rebuilt = build_graph(s for s in ds.sessions if s.session_id not in test_ids)
             train = full - held_out
             assert train.edges == rebuilt.edges and train.nodes == rebuilt.nodes

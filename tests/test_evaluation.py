@@ -8,8 +8,8 @@ from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import build_graph, prune
 from cosuggest.copra import ConceptCluster, copra_cluster
 from cosuggest.evaluation import (
-    STRATEGY_ORDER,
     SessionOutcome,
+    _context_and_truth,
     _run_fold,
     aggregate,
     copra_config,
@@ -24,16 +24,9 @@ from cosuggest.suggestion import Strategy, suggest
 from conftest import make_dataset, topic_dataset
 
 
-def _outcome(sid, length, context, gt, suggested):
-    context, gt, suggested = frozenset(context), frozenset(gt), frozenset(suggested)
-    return SessionOutcome(
-        session_id=sid,
-        session_length=length,
-        context=context,
-        ground_truth=gt,
-        suggested=suggested,
-        hits=len(suggested & gt),
-    )
+def _outcome(length, gt, suggested):
+    gt, suggested = frozenset(gt), frozenset(suggested)
+    return SessionOutcome(length, gt, suggested, hits=len(suggested & gt))
 
 
 # -------------------------------------------------------------- make_folds
@@ -58,15 +51,18 @@ def test_fold_sizes_differ_by_at_most_one():
 
 
 def test_folds_deterministic_for_seed():
-    a = make_folds(_eligible_dataset(17), 5, seed=99)
-    b = make_folds(_eligible_dataset(17), 5, seed=99)
-    assert a == b
+    ds = _eligible_dataset(17)
+    a = make_folds(ds, 5, seed=99)
+    b = make_folds(ds, 5, seed=99)
+    reordered = make_folds(type(ds)(ds.sessions[::-1]), 5, seed=99)
+    assert a == b == reordered
 
 
 def test_folds_exclude_single_query_sessions():
-    held_out = set().union(*make_folds(_eligible_dataset(6, n_short=5), 3, seed=0))
+    folds = make_folds(_eligible_dataset(6, n_short=5), 3, seed=0)
+    held_out = [s.session_id for fold in folds for s in fold]
     assert all(sid.startswith("u") for sid in held_out)
-    assert len(held_out) == 6
+    assert len(set(held_out)) == len(held_out) == 6
 
 
 def test_folds_error_when_too_few_sessions():
@@ -81,7 +77,8 @@ def test_fold_partition_property():
             ds = _eligible_dataset(n)
             folds = make_folds(ds, k, seed)
             assert len(folds) == k
-            assert set().union(*folds) == {s.session_id for s in ds.sessions}
+            dealt = sorted(s.session_id for fold in folds for s in fold)
+            assert dealt == sorted(s.session_id for s in ds.sessions)
             sizes = [len(f) for f in folds]
             assert max(sizes) - min(sizes) <= 1
             assert sum(sizes) == n
@@ -91,10 +88,9 @@ def test_fold_partition_property():
 
 def test_outcome_hits_arithmetic():
     clusters = [ConceptCluster(0, frozenset({"c1", "c2", "c4"}))]
-    outcome = outcome_from_concept_sets(
-        "s", [frozenset({"c1"}), frozenset({"c2", "c3"})], clusters, Strategy.SLACK
-    )
-    assert outcome.context == frozenset({"c1"})
+    concept_sets = [frozenset({"c1"}), frozenset({"c2", "c3"})]
+    outcome = outcome_from_concept_sets(concept_sets, clusters, Strategy.SLACK)
+    assert _context_and_truth(concept_sets)[0] == frozenset({"c1"})
     assert outcome.ground_truth == frozenset({"c2", "c3"})
     assert outcome.suggested == frozenset({"c2", "c4"})
     assert outcome.hits == 1
@@ -102,14 +98,14 @@ def test_outcome_hits_arithmetic():
 
 def test_outcome_empty_ground_truth_when_remainder_seen():
     outcome = outcome_from_concept_sets(
-        "s", [frozenset({"c1", "c2"}), frozenset({"c1"})], [], Strategy.SLACK
+        [frozenset({"c1", "c2"}), frozenset({"c1"})], [], Strategy.SLACK
     )
     assert outcome.ground_truth == frozenset()
 
 
 def test_outcome_no_suggestions_no_hits():
     outcome = outcome_from_concept_sets(
-        "s", [frozenset({"c1"}), frozenset({"c2"})], [], Strategy.SLACK
+        [frozenset({"c1"}), frozenset({"c2"})], [], Strategy.SLACK
     )
     assert outcome.suggested == frozenset()
     assert outcome.hits == 0
@@ -117,45 +113,36 @@ def test_outcome_no_suggestions_no_hits():
 
 def test_outcome_requires_two_queries():
     with pytest.raises(ValueError):
-        outcome_from_concept_sets("s", [frozenset({"c1"})], [], Strategy.SLACK)
-
-
-def test_outcome_invariant_enforced():
-    with pytest.raises(ValueError):
-        SessionOutcome("s", 2, frozenset(), frozenset({"a"}), frozenset(), hits=2)
+        outcome_from_concept_sets([frozenset({"c1"})], [], Strategy.SLACK)
 
 
 # -------------------------------------------------------------- aggregate
 
 def test_aggregate_single_session():
-    metrics = aggregate([_outcome("s", 2, {"c1"}, {"c2", "c3"}, {"c2", "c4"})])
+    metrics = aggregate([_outcome(2, {"c2", "c3"}, {"c2", "c4"})])
     assert metrics.recall == pytest.approx(0.5)
     assert metrics.precision == pytest.approx(0.5)
     assert metrics.f1 == pytest.approx(0.5)
 
 
 def test_aggregate_recall_upper_bound():
-    outcomes = [
-        _outcome(f"s{i}", 2, {"x"}, {"a", "b"}, {"a", "b", "c"}) for i in range(5)
-    ]
+    outcomes = [_outcome(2, {"a", "b"}, {"a", "b", "c"}) for _ in range(5)]
     assert aggregate(outcomes).recall == pytest.approx(1.0)
 
 
 def _hand_fixture():
     """20 outcomes with hand-computed aggregates (see assertions)."""
     outcomes = []
-    for i in range(10):  # hits 1 of |G|=2, |S|=2
-        outcomes.append(_outcome(f"a{i}", 2, {"x"}, {"g1", "g2"}, {"g1", "n1"}))
-    for i in range(4):  # hits 2 of |G|=2, |S|=4
-        outcomes.append(
-            _outcome(f"b{i}", 3, {"x"}, {"g1", "g2"}, {"g1", "g2", "n1", "n2"})
-        )
-    for i in range(2):  # no suggestions: recall 0, excluded from precision
-        outcomes.append(_outcome(f"c{i}", 2, {"x"}, {"g1"}, set()))
-    for i in range(2):  # empty ground truth: excluded entirely
-        outcomes.append(_outcome(f"d{i}", 2, {"x"}, set(), {"n1", "n2", "n3"}))
-    for i in range(2):  # hits 3 of |G|=3, |S|=3
-        outcomes.append(_outcome(f"e{i}", 4, {"x"}, {"g1", "g2", "g3"}, {"g1", "g2", "g3"}))
+    for _ in range(10):  # hits 1 of |G|=2, |S|=2
+        outcomes.append(_outcome(2, {"g1", "g2"}, {"g1", "n1"}))
+    for _ in range(4):  # hits 2 of |G|=2, |S|=4
+        outcomes.append(_outcome(3, {"g1", "g2"}, {"g1", "g2", "n1", "n2"}))
+    for _ in range(2):  # no suggestions: recall 0, excluded from precision
+        outcomes.append(_outcome(2, {"g1"}, set()))
+    for _ in range(2):  # empty ground truth: excluded entirely
+        outcomes.append(_outcome(2, set(), {"n1", "n2", "n3"}))
+    for _ in range(2):  # hits 3 of |G|=3, |S|=3
+        outcomes.append(_outcome(4, {"g1", "g2", "g3"}, {"g1", "g2", "g3"}))
     return outcomes
 
 
@@ -192,10 +179,10 @@ def test_empty_suggestion_precision_policies():
 def test_aggregate_macro_recall_matches_brute_force():
     rng = random.Random(5)
     outcomes = []
-    for i in range(60):
+    for _ in range(60):
         gt = set(rng.sample(["g1", "g2", "g3", "g4"], rng.randint(0, 4)))
         sugg = set(rng.sample(["g1", "g2", "n1", "n2"], rng.randint(0, 4)))
-        outcomes.append(_outcome(f"s{i}", rng.randint(2, 5), {"x"}, gt, sugg))
+        outcomes.append(_outcome(rng.randint(2, 5), gt, sugg))
     metrics = aggregate(outcomes)
     scored = [o for o in outcomes if o.ground_truth]
     brute = sum(len(o.suggested & o.ground_truth) / len(o.ground_truth) for o in scored)
@@ -203,7 +190,7 @@ def test_aggregate_macro_recall_matches_brute_force():
 
 
 def test_all_empty_suggestions_yield_zero_recall_without_faults():
-    outcomes = [_outcome(f"s{i}", 2, {"x"}, {"g"}, set()) for i in range(6)]
+    outcomes = [_outcome(2, {"g"}, set()) for _ in range(6)]
     metrics = aggregate(outcomes)
     assert metrics.recall == 0.0
     assert metrics.precision == 0.0
@@ -213,7 +200,7 @@ def test_all_empty_suggestions_yield_zero_recall_without_faults():
 
 def test_aggregate_errors_without_scorable_sessions():
     with pytest.raises(ValueError, match="ground truth"):
-        aggregate([_outcome("s", 2, {"x"}, set(), {"a"})])
+        aggregate([_outcome(2, set(), {"a"})])
 
 
 def test_summarize_requires_scored_fold():
@@ -224,15 +211,15 @@ def test_summarize_requires_scored_fold():
 # ------------------------------------------------------------ f1_by_length
 
 def test_f1_by_length_single_row():
-    outcomes = [_outcome(f"s{i}", 2, {"x"}, {"g"}, {"g"}) for i in range(3)]
+    outcomes = [_outcome(2, {"g"}, {"g"}) for _ in range(3)]
     assert f1_by_length(outcomes) == [(2, 1.0, 3)]
 
 
 def test_f1_by_length_grouped_means():
     outcomes = [
-        _outcome("s1", 2, {"x"}, {"g"}, {"g"}),          # f1 = 1.0
-        _outcome("s2", 2, {"x"}, {"g"}, set()),          # f1 = 0.0
-        _outcome("s3", 3, {"x"}, {"g1", "g2"}, {"g1"}),  # p=1, r=0.5 -> f1 = 2/3
+        _outcome(2, {"g"}, {"g"}),          # f1 = 1.0
+        _outcome(2, {"g"}, set()),          # f1 = 0.0
+        _outcome(3, {"g1", "g2"}, {"g1"}),  # p=1, r=0.5 -> f1 = 2/3
     ]
     rows = f1_by_length(outcomes)
     assert rows[0] == (2, 0.5, 2)
@@ -342,23 +329,26 @@ def test_fold_outcomes_match_per_session_oracle(monkeypatch):
         ds = topic_dataset(100 + seed, 300, n_topics=4)
         config = _config(folds=3 + seed % 3, seed=seed)
         full = build_graph(ds.sessions)
-        for fold, test_ids in enumerate(make_folds(ds, config.folds, config.seed)):
+        for fold, test_sessions in enumerate(make_folds(ds, config.folds, config.seed)):
             calls.clear()
-            results = _run_fold(ds, full, test_ids, fold, config, STRATEGY_ORDER)
+            results = _run_fold(full, test_sessions, fold, config, tuple(Strategy))
             assert len(calls) == len(set(calls))
 
+            test_ids = {s.session_id for s in test_sessions}
             train = (s for s in ds.sessions if s.session_id not in test_ids)
             graph = prune(build_graph(train), config.prune_min_weight)
             clusters = copra_cluster(graph, copra_config(config)).clusters
-            test_sessions = [s for s in ds.sessions if s.session_id in test_ids]
             contexts = {s.concepts[0] for s in test_sessions}
             empty_contexts += frozenset() in contexts
-            assert set(calls) == {(c, st) for c in contexts for st in STRATEGY_ORDER}
-            for strategy in STRATEGY_ORDER:
+            assert set(calls) == {(c, st) for c in contexts for st in Strategy}
+            for strategy in Strategy:
                 expected = [
-                    outcome_from_concept_sets(s.session_id, s.concepts, clusters, strategy)
+                    outcome_from_concept_sets(s.concepts, clusters, strategy)
                     for s in test_sessions
                 ]
                 assert results[strategy][1] == expected
+                for o in results[strategy][1]:
+                    assert o.hits == len(o.suggested & o.ground_truth)
+                    assert o.hits <= min(len(o.suggested), len(o.ground_truth))
                 assert results[strategy][0] == aggregate(expected, fold=fold)
     assert empty_contexts

@@ -128,11 +128,3 @@ def test_strict_rule_brute_force_over_small_contexts():
         else:
             assert strict.selected_clusters == ()
             assert strict.suggested == frozenset()
-
-
-def test_strategy_from_name():
-    assert Strategy.from_name("slack") is Strategy.SLACK
-    assert Strategy.from_name("SLACK_SELECTIVE") is Strategy.SLACK_SELECTIVE
-    assert Strategy.from_name("strict") is Strategy.STRICT
-    with pytest.raises(ValueError):
-        Strategy.from_name("fuzzy")
