@@ -76,17 +76,17 @@ _LIST_FIELDS = {f.name for f in _FIELDS if isinstance(f.default, tuple)}
 
 
 def _coerce(key: str, value: object) -> object:
-    if key in _INT_FIELDS:
-        return int(value)  # type: ignore[arg-type]
     if key in _LIST_FIELDS:
         if isinstance(value, str):
             return tuple(v.strip() for v in value.split(",") if v.strip())
         if isinstance(value, (list, tuple)):
             return tuple(str(v) for v in value)
         raise ValueError(f"{key} must be a list or comma-separated string")
-    if value is None:
+    if value is None and key not in _INT_FIELDS:
         return None
-    return str(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{key} must be a number or a string, got {value!r}")
+    return int(value) if key in _INT_FIELDS else str(value)
 
 
 def load_config_file(path: str | Path) -> dict:

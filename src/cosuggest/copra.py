@@ -195,8 +195,9 @@ def write_clusters_json(
 
 def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
     """Inverse of :func:`write_clusters_json`; malformed input (missing
-    field, members that are not a list, a repeated id) raises ``ValueError``
-    naming the file and the offending ``clusters[i]``."""
+    field, an id that is not an integer, members that are not a list of
+    strings, a repeated id) raises ``ValueError`` naming the file and the
+    offending ``clusters[i]``."""
     where = "top level"
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -204,8 +205,12 @@ def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
         ids: set[int] = set()
         for i, raw in enumerate(payload["clusters"]):
             where = f"clusters[{i}]"
+            if type(raw["id"]) is not int:  # bool is an int subclass and is rejected
+                raise ValueError(f"id must be an integer, got {raw['id']!r}")
             if not isinstance(raw["members"], list):
                 raise ValueError("members must be a list")
+            if not all(isinstance(m, str) for m in raw["members"]):
+                raise ValueError("members must be strings")
             if raw["id"] in ids:
                 raise ValueError(f"duplicate id {raw['id']!r}")
             ids.add(raw["id"])

@@ -252,10 +252,17 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
 def _concept_set(raw: object) -> frozenset[str]:
     if not isinstance(raw, list):
         raise ValueError("concepts must be a list")
+    try:
+        "".join(raw)  # one pass in C over the list, failing on a non-string
+    except TypeError:
+        raise ValueError(f"concepts must be strings, got {raw!r}") from None
     return frozenset(raw)
 
 
 def _session_from_json(payload: dict) -> SearchSession:
+    for key in ("session_id", "user"):
+        if not isinstance(payload[key], str):
+            raise ValueError(f"{key} must be a string, got {payload[key]!r}")
     user_id = payload["user"]
     queries = payload["queries"]
     if not queries:
@@ -275,9 +282,9 @@ def _session_from_json(payload: dict) -> SearchSession:
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped.
 
-    A malformed line (missing field, bad value, no queries, concepts that
-    are not a list) or a repeated session id raises ``ValueError`` naming
-    ``path:line``.
+    A malformed line (missing field, bad value, no queries, a session id,
+    user or concept that is not a string, concepts that are not a list) or
+    a repeated session id raises ``ValueError`` naming ``path:line``.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()

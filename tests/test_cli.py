@@ -60,6 +60,10 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("bogus=1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
+    for value in ("[3]", "true", "{}"):
+        path.write_text(f'{{"folds": {value}}}')
+        with pytest.raises(ValueError, match="folds"):
+            load_config_file(path)
 
 
 def test_env_overrides():
@@ -389,6 +393,42 @@ GOOD_SESSION = (
             ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
             ": clusters[1]:",
         ),
+        (
+            "session_id_number.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace('"u1#1"', "7").replace('"u1"', '"u2"') + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
+        (
+            "user_number.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace("u1#1", "u2#1").replace('"u1"', "7") + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
+        (
+            "concept_number.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace('["park"]', '["park", 3]').replace("u1", "u2") + "\n",
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
+        (
+            "id_string.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"id": "x", "members": ["park", "beach"]}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
+        (
+            "id_true.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"id": true, "members": ["park", "beach"]}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
+        (
+            "member_number.json",
+            '{"clusters": [{"id": 0, "members": ["park"]}, {"id": 1, "members": ["park", 5]}]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": clusters[1]:",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -400,6 +440,12 @@ GOOD_SESSION = (
         "graph-repeated-pair",
         "clusters-members-not-a-list",
         "clusters-duplicate-id",
+        "reduced-session-id-not-a-string",
+        "reduced-user-not-a-string",
+        "reduced-concept-not-a-string",
+        "clusters-id-a-string",
+        "clusters-id-a-boolean",
+        "clusters-member-not-a-string",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(
