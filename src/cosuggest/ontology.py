@@ -26,7 +26,6 @@ The root class is the only class with an empty parent list.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
@@ -162,21 +161,23 @@ def validate_ontology(ont: Ontology) -> None:
             if pid not in ont.classes:
                 raise OntologyError(f"class {cls.id!r} references undefined parent {pid!r}")
 
-    # Acyclicity: peel classes whose parents are all peeled, starting at the root.
-    remaining = {cid: set(c.parent_ids) for cid, c in ont.classes.items()}
-    queue = deque([ont.root_id])
-    done: set[str] = set()
-    children = ont.child_map()
-    while queue:
-        cid = queue.popleft()
-        done.add(cid)
-        for child in children[cid]:
-            remaining[child].discard(cid)
-            if not remaining[child] and child not in done:
-                queue.append(child)
-    if len(done) != len(ont.classes):
-        stuck = sorted(set(ont.classes) - done)
+    order = _peel_order(ont, ont.child_map())
+    if len(order) != len(ont.classes):
+        stuck = sorted(set(ont.classes) - set(order))
         raise OntologyError(f"cycle or unreachable classes detected: {stuck}")
+
+
+def _peel_order(ont: Ontology, children: dict[str, set[str]]) -> list[str]:
+    """Class ids in topological order: the root, then each class once all its
+    parents are peeled.  Classes on a cycle or cut off from the root are missing."""
+    pending = {cid: len(c.parent_ids) for cid, c in ont.classes.items()}
+    order = [ont.root_id]
+    for cid in order:  # the loop visits the classes it appends
+        for child in children[cid]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                order.append(child)
+    return order
 
 
 def load_ontology(path: str | Path) -> Ontology:
@@ -255,19 +256,13 @@ def compute_metrics(ont: Ontology) -> OntologyMetrics:
     non_root = [c for c in ont.classes.values() if c.id != ont.root_id]
     relation_count = sum(len(c.parent_ids) for c in ont.classes.values())
 
-    # Longest root-to-leaf path in edges: DP over a topological peel.
+    # Longest root-to-leaf path in edges: DP over the topological peel.
     children = ont.child_map()
-    pending = {cid: len(c.parent_ids) for cid, c in ont.classes.items()}
-    depth = {ont.root_id: 0}
-    queue = deque([ont.root_id])
-    while queue:
-        cid = queue.popleft()
+    depth = dict.fromkeys(_peel_order(ont, children), 0)
+    for cid in depth:
         for child in children[cid]:
-            depth[child] = max(depth.get(child, 0), depth[cid] + 1)
-            pending[child] -= 1
-            if pending[child] == 0:
-                queue.append(child)
-    longest = max(depth.values()) if depth else 0
+            depth[child] = max(depth[child], depth[cid] + 1)
+    longest = max(depth.values())
 
     if non_root:
         degrees = [len(c.parent_ids) + len(children[c.id]) for c in non_root]
