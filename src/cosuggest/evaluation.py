@@ -13,10 +13,8 @@ graph is that graph minus the graph of its held-out sessions: a weight
 counts sessions, so the difference is exactly the graph of the training
 sessions.  Within a fold each distinct context is passed to ``suggest``
 once per strategy (``suggest`` is pure); its sessions share the answer.
-A session's outcome keeps only what the metrics read: its length, ground
-truth, suggestions and hits.  Every metric is a ``fmean`` (exactly rounded
-through ``math.fsum``), a minimum, a maximum or a count, so the order in
-which a fold's sessions are scored cannot change a report byte.
+Every metric is an ``fmean`` (``math.fsum``-based, so exactly rounded), a
+min, a max or a count: the order in which sessions are scored moves no byte.
 
 Metrics are macro-averaged: per-session recall and precision are averaged
 within a fold, fold values are averaged into the report.  Sessions with
@@ -69,9 +67,8 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession
     """
     if k < 2:
         raise ValueError("fold count must be >= 2")
-    eligible = sorted(
-        (s for s in ds.sessions if len(s.queries) >= 2), key=lambda s: s.session_id
-    )
+    eligible = [s for s in ds.sessions if len(s.queries) >= 2]
+    eligible.sort(key=lambda s: s.session_id)
     if len(eligible) < k:
         raise ValueError(
             f"only {len(eligible)} sessions with >= 2 queries, need at least {k}"
@@ -101,7 +98,8 @@ def _context_and_truth(
 def _outcome(
     session_length: int, ground_truth: frozenset[str], suggested: frozenset[str]
 ) -> SessionOutcome:
-    return SessionOutcome(session_length, ground_truth, suggested, len(suggested & ground_truth))
+    hits = len(suggested & ground_truth)
+    return SessionOutcome(session_length, ground_truth, suggested, hits)
 
 
 def outcome_from_concept_sets(
@@ -118,9 +116,8 @@ def outcome_from_concept_sets(
 def _session_f1(outcome: SessionOutcome) -> float:
     if outcome.hits == 0:
         return 0.0
-    return _harmonic(
-        outcome.hits / len(outcome.suggested), outcome.hits / len(outcome.ground_truth)
-    )
+    precision = outcome.hits / len(outcome.suggested)
+    return _harmonic(precision, outcome.hits / len(outcome.ground_truth))
 
 
 def _harmonic(precision: float, recall: float) -> float:
