@@ -85,7 +85,7 @@ def _coerce(key: str, value: object) -> object:
     if value is None and key not in _INT_FIELDS:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{key} must be a number or a string, got {value!r}")
+        raise ValueError(f"{key} must be an integer or a string, got {value!r}")
     return int(value) if key in _INT_FIELDS else str(value)
 
 

@@ -60,7 +60,7 @@ def test_config_file_unknown_key(tmp_path):
     path.write_text("bogus=1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
-    for value in ("[3]", "true", "{}"):
+    for value in ("[3]", "true", "{}", "2.5"):
         path.write_text(f'{{"folds": {value}}}')
         with pytest.raises(ValueError, match="folds"):
             load_config_file(path)
