@@ -79,14 +79,21 @@ def _coerce(key: str, value: object) -> object:
     if key in _LIST_FIELDS:
         if isinstance(value, str):
             return tuple(v.strip() for v in value.split(",") if v.strip())
-        if isinstance(value, (list, tuple)):
-            return tuple(str(v) for v in value)
-        raise ValueError(f"{key} must be a list or comma-separated string")
+        if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        raise ValueError(
+            f"{key} must be a list of strings or a comma-separated string, got {value!r}"
+        )
     if value is None and key not in _INT_FIELDS:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{key} must be an integer or a string, got {value!r}")
-    return int(value) if key in _INT_FIELDS else str(value)
+    if key not in _INT_FIELDS:
+        return str(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -267,13 +267,18 @@ def _session_from_json(payload: dict) -> SearchSession:
     queries = payload["queries"]
     if not queries:
         raise ValueError("session has no queries")
+    texts = [q["text"] for q in queries]
+    try:
+        "".join(texts)  # one pass in C over the texts, failing on a non-string
+    except TypeError:
+        raise ValueError(f"query texts must be strings, got {texts!r}") from None
     records = tuple(
         QueryRecord(
             user_id=user_id,
-            query_text=q["text"],
+            query_text=text,
             timestamp=parse_timestamp(q["ts"]),
         )
-        for q in queries
+        for text, q in zip(texts, queries)
     )
     concepts = tuple(_concept_set(q["concepts"]) for q in queries)
     return SearchSession(payload["session_id"], user_id, records, concepts)
@@ -283,8 +288,9 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped.
 
     A malformed line (missing field, bad value, no queries, a session id,
-    user or concept that is not a string, concepts that are not a list) or
-    a repeated session id raises ``ValueError`` naming ``path:line``.
+    user, query text or concept that is not a string, concepts that are not
+    a list) or a repeated session id raises ``ValueError`` naming
+    ``path:line``.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()

@@ -66,6 +66,20 @@ def test_config_file_unknown_key(tmp_path):
             load_config_file(path)
 
 
+def test_mistyped_config_values_name_the_key(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("folds=abc\n")
+    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
+        load_config_file(path)
+    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
+        env_overrides({"COSUGGEST_FOLDS": "abc"})
+    path.write_text('{"excluded_facets": [1, {}]}')
+    with pytest.raises(ValueError, match="excluded_facets must be a list of strings"):
+        load_config_file(path)
+    path.write_text('{"excluded_facets": ["administrative", "natural"]}')
+    assert load_config_file(path) == {"excluded_facets": ("administrative", "natural")}
+
+
 def test_env_overrides():
     values = env_overrides({"COSUGGEST_SEED": "11", "COSUGGEST_FOLDS": "4", "PATH": "/bin"})
     assert values == {"seed": 11, "folds": 4}
@@ -429,6 +443,12 @@ GOOD_SESSION = (
             ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
             ": clusters[1]:",
         ),
+        (
+            "text_number.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace('"text": "park"', '"text": 5').replace("u1", "u2") + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -446,6 +466,7 @@ GOOD_SESSION = (
         "clusters-id-a-string",
         "clusters-id-a-boolean",
         "clusters-member-not-a-string",
+        "reduced-query-text-not-a-string",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(
