@@ -53,6 +53,7 @@ from cosuggest.cooccurrence import (
 from cosuggest.copra import (
     ClusterStats,
     ConceptCluster,
+    ConceptClusters,
     CopraConfig,
     CopraResult,
     cluster_stats,
@@ -79,6 +80,7 @@ __all__ = [
     "AnnotationPhrase",
     "ClusterStats",
     "ConceptCluster",
+    "ConceptClusters",
     "ConceptMatcher",
     "CooccurrenceGraph",
     "CopraConfig",

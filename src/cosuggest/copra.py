@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
@@ -53,9 +54,30 @@ class ConceptCluster:
     members: frozenset[str]
 
 
+class ConceptClusters(tuple):
+    """Clusters in order, with an inverted file from concept to clusters.
+
+    ``postings`` maps each concept to the positions (not ids) of the
+    clusters that contain it, in ascending order.  It is built once, when
+    the collection is made, so a lookup costs in proportion to the clusters
+    a concept touches rather than to all clusters.
+    """
+
+    postings: dict[str, list[int]]
+
+    def __new__(cls, clusters: Iterable[ConceptCluster] = ()) -> ConceptClusters:
+        self = super().__new__(cls, clusters)
+        postings: dict[str, list[int]] = {}
+        for position, cluster in enumerate(self):
+            for concept in cluster.members:
+                postings.setdefault(concept, []).append(position)
+        self.postings = postings
+        return self
+
+
 @dataclass
 class CopraResult:
-    clusters: list[ConceptCluster]
+    clusters: ConceptClusters
     converged: bool
     iterations: int
 
@@ -141,7 +163,7 @@ def copra_cluster(
         if not any(members < other for other in member_sets)
     ]
     survivors.sort(key=lambda members: tuple(sorted(members)))
-    clusters = [ConceptCluster(id=i, members=m) for i, m in enumerate(survivors)]
+    clusters = ConceptClusters(ConceptCluster(id=i, members=m) for i, m in enumerate(survivors))
     return CopraResult(clusters=clusters, converged=converged, iterations=iterations)
 
 
@@ -154,7 +176,7 @@ class ClusterStats:
     overlap_count: int
 
 
-def cluster_stats(clusters: list[ConceptCluster]) -> ClusterStats:
+def cluster_stats(clusters: Sequence[ConceptCluster]) -> ClusterStats:
     """Cluster count, size spread, and how many concepts sit in >1 cluster."""
     if not clusters:
         return ClusterStats(0, 0, 0, 0.0, 0)
@@ -193,11 +215,13 @@ def write_clusters_json(
     )
 
 
-def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
-    """Inverse of :func:`write_clusters_json`; malformed input (missing
-    field, an id that is not an integer, members that are not a list of
-    strings, a repeated id) raises ``ValueError`` naming the file and the
-    offending ``clusters[i]``."""
+def read_clusters_json(path: str | Path) -> tuple[ConceptClusters, dict]:
+    """Inverse of :func:`write_clusters_json`, as an indexed collection.
+
+    Malformed input (missing field, an id that is not an integer, members
+    that are not a list of strings, a repeated id) raises ``ValueError``
+    naming the file and the offending ``clusters[i]``.
+    """
     where = "top level"
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -219,4 +243,4 @@ def read_clusters_json(path: str | Path) -> tuple[list[ConceptCluster], dict]:
         raise ValueError(f"{path}: {where}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {where}: {exc}") from exc
-    return clusters, payload
+    return ConceptClusters(clusters), payload

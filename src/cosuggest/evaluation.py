@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
-from cosuggest.copra import ConceptCluster, CopraConfig, copra_cluster
+from cosuggest.copra import ConceptCluster, ConceptClusters, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
     ReducedDataset,
     SearchSession,
@@ -104,7 +104,7 @@ def _outcome(
 
 def outcome_from_concept_sets(
     concept_sets: Sequence[frozenset[str]],
-    clusters: list[ConceptCluster],
+    clusters: Sequence[ConceptCluster],
     strategy: Strategy,
 ) -> SessionOutcome:
     """Score one session from its per-query concept sets (first query = context)."""
@@ -294,7 +294,11 @@ def _run_fold(
     strategies: Sequence[Strategy],
 ) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
     graph = prune(full - build_graph(test_sessions), config.prune_min_weight)
-    clusters = copra_cluster(graph, copra_config(config)).clusters if graph.edges else []
+    clusters = (
+        copra_cluster(graph, copra_config(config)).clusters
+        if graph.edges
+        else ConceptClusters()
+    )
 
     scored = [_context_and_truth(s.concepts) for s in test_sessions]
     results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}

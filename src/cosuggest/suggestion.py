@@ -8,20 +8,26 @@ context.  Already-observed concepts are never suggested.
   context and suggests the union of their members.
 * SLACK_SELECTIVE selects only the single best-matching cluster, where
   the match degree of a cluster is the size of its intersection with the
-  context; ties go to the smallest cluster id.
+  context; ties go to the smallest cluster id (then the earliest cluster).
 * STRICT suggests only on unanimous evidence: every cluster that overlaps
   the context must contain all of it.  If any overlapping cluster matches
   the context only partially, nothing is suggested.  (With a one-concept
   context this coincides with SLACK; with larger contexts it is the most
   conservative of the three.)
+
+Each strategy reads the clusters that share concepts with the context, and
+how many, from the collection's concept -> clusters index
+(:class:`~cosuggest.copra.ConceptClusters`), so a call costs in proportion
+to the clusters the context touches, not to all clusters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
+from typing import NamedTuple
 
-from cosuggest.copra import ConceptCluster
+from cosuggest.copra import ConceptCluster, ConceptClusters
 
 
 class Strategy(Enum):
@@ -30,29 +36,19 @@ class Strategy(Enum):
     STRICT = "strict"
 
 
-@dataclass(frozen=True)
-class SuggestionResult:
+class SuggestionResult(NamedTuple):
     selected_clusters: tuple[int, ...]
     suggested: frozenset[str]
     context: frozenset[str]
 
 
-def _result(
-    selected: list[ConceptCluster], context: frozenset[str]
-) -> SuggestionResult:
-    suggested: set[str] = set()
-    for cluster in selected:
-        suggested.update(cluster.members)
-    suggested -= context
-    return SuggestionResult(
-        selected_clusters=tuple(sorted(c.id for c in selected)),
-        suggested=frozenset(suggested),
-        context=context,
-    )
+# Every empty answer shares one set: callers that keep their answers (the
+# scoring loop, a client's log) then hold one object, not one per call.
+_NOTHING: frozenset[str] = frozenset()
 
 
 def suggest(
-    clusters: list[ConceptCluster],
+    clusters: Sequence[ConceptCluster],
     context: frozenset[str] | set[str],
     strategy: Strategy,
 ) -> SuggestionResult:
@@ -60,25 +56,34 @@ def suggest(
 
     Pure function: identical inputs yield identical outputs.  An empty
     context, or a context no cluster intersects, yields no suggestions.
+    ``clusters`` may be any sequence; a :class:`ConceptClusters` brings its
+    concept -> clusters index, any other sequence is indexed for this call.
     """
     context = frozenset(context)
-    if not context:
-        return _result([], context)
-
-    touching = [c for c in clusters if c.members & context]
-    if not touching:
-        return _result([], context)
+    if not isinstance(clusters, ConceptClusters):
+        clusters = ConceptClusters(clusters)
+    postings = clusters.postings
+    overlap: dict[int, int] = {}  # position of each touched cluster -> shared concepts
+    for concept in context:
+        for position in postings.get(concept, ()):
+            overlap[position] = overlap.get(position, 0) + 1
 
     if strategy is Strategy.SLACK:
-        return _result(touching, context)
+        selected = overlap
+    elif strategy is Strategy.SLACK_SELECTIVE:
+        best = min(overlap, key=lambda p: (-overlap[p], clusters[p].id, p), default=None)
+        selected = () if best is None else (best,)
+    elif strategy is Strategy.STRICT:
+        whole = len(context)
+        selected = overlap if all(n == whole for n in overlap.values()) else ()
+    else:
+        raise ValueError(f"unhandled strategy {strategy!r}")
 
-    if strategy is Strategy.SLACK_SELECTIVE:
-        best = min(touching, key=lambda c: (-len(c.members & context), c.id))
-        return _result([best], context)
-
-    if strategy is Strategy.STRICT:
-        if all(context <= c.members for c in touching):
-            return _result(touching, context)
-        return _result([], context)
-
-    raise ValueError(f"unhandled strategy {strategy!r}")
+    picked = [clusters[p] for p in selected]
+    if not picked:
+        return SuggestionResult((), _NOTHING, context)
+    return SuggestionResult(
+        tuple(sorted([c.id for c in picked])),
+        frozenset().union(*[c.members for c in picked]) - context,
+        context,
+    )

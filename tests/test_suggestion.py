@@ -3,7 +3,15 @@ from itertools import chain, combinations
 
 import pytest
 
-from cosuggest.copra import ConceptCluster
+from cosuggest.cooccurrence import CooccurrenceGraph
+from cosuggest.copra import (
+    ConceptCluster,
+    ConceptClusters,
+    CopraConfig,
+    copra_cluster,
+    read_clusters_json,
+    write_clusters_json,
+)
 from cosuggest.suggestion import Strategy, SuggestionResult, suggest
 
 WORKED_CLUSTERS = [
@@ -128,3 +136,82 @@ def test_strict_rule_brute_force_over_small_contexts():
         else:
             assert strict.selected_clusters == ()
             assert strict.suggested == frozenset()
+
+
+# ------------------------------------------- the index against a full scan
+
+
+def _scan(clusters, context, strategy):
+    """Oracle: scan every cluster, in order, for its overlap with the context."""
+    touching = [c for c in clusters if c.members & context]
+    if strategy is Strategy.SLACK:
+        selected = touching
+    elif strategy is Strategy.SLACK_SELECTIVE:
+        # ``min`` keeps the first of equal keys: ties on (overlap, id) go to
+        # the earliest cluster in the list.
+        best = min(touching, key=lambda c: (-len(c.members & context), c.id), default=None)
+        selected = [] if best is None else [best]
+    else:
+        selected = touching if all(context <= c.members for c in touching) else []
+    suggested = frozenset(chain.from_iterable(c.members for c in selected)) - context
+    return tuple(sorted(c.id for c in selected)), suggested
+
+
+def _postings_of(clusters):
+    postings = {}
+    for position, cluster in enumerate(clusters):
+        for concept in cluster.members:
+            postings.setdefault(concept, []).append(position)
+    return postings
+
+
+def test_index_matches_full_scan_on_random_cluster_sets():
+    rng = random.Random(8)
+    universe = [f"c{i}" for i in range(10)]
+    seen = dict.fromkeys(
+        ("overlap", "overlap_tie", "repeated_id", "empty_context", "untouched", "partial_strict"), 0
+    )
+    for _ in range(3000):
+        clusters = [
+            ConceptCluster(rng.randrange(6), frozenset(rng.sample(universe, rng.randint(1, 5))))
+            for _ in range(rng.randint(0, 7))
+        ]
+        context = frozenset(rng.sample(universe + ["outside"], rng.randint(0, 4)))
+        overlaps = [len(c.members & context) for c in clusters]
+        touched = [n for n in overlaps if n]
+        ids = [c.id for c in clusters]
+        seen["overlap"] += any(a.members & b.members for a, b in combinations(clusters, 2))
+        seen["overlap_tie"] += len(touched) > 1 and touched.count(max(touched)) > 1
+        seen["repeated_id"] += len(set(ids)) < len(ids)
+        seen["empty_context"] += not context
+        seen["untouched"] += bool(context) and not touched
+        seen["partial_strict"] += any(0 < n < len(context) for n in overlaps)
+
+        indexed = ConceptClusters(clusters)
+        assert indexed == tuple(clusters)
+        assert indexed.postings == _postings_of(clusters)
+        for strategy in Strategy:
+            want = _scan(clusters, context, strategy)
+            for form in (clusters, indexed):
+                result = suggest(form, context, strategy)
+                assert (result.selected_clusters, result.suggested) == want
+                assert result.context == context
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_cluster_producers_return_an_index_that_matches_the_members(tmp_path):
+    graph = CooccurrenceGraph()
+    for clique in (("a", "b", "c", "d"), ("d", "e", "f"), ("g", "h")):
+        for x, y in combinations(clique, 2):
+            graph.add_edge(x, y)
+    cfg = CopraConfig(v=2, seed=3)
+    result = copra_cluster(graph, cfg)
+    path = tmp_path / "clusters.json"
+    write_clusters_json(result, cfg, path)
+    read, _ = read_clusters_json(path)
+    for clusters in (result.clusters, read):
+        assert isinstance(clusters, ConceptClusters)
+        assert len(clusters) >= 2
+        assert clusters.postings == _postings_of(clusters)
+    assert read == result.clusters
+    assert ConceptClusters().postings == {}
