@@ -82,8 +82,10 @@ def suggest(
     picked = [clusters[p] for p in selected]
     if not picked:
         return SuggestionResult((), _NOTHING, context)
+    # A set difference grows its table by insertion (a five-concept answer
+    # gets 32 slots); copying it into the frozenset sizes the table to fit.
     return SuggestionResult(
         tuple(sorted([c.id for c in picked])),
-        frozenset().union(*[c.members for c in picked]) - context,
+        frozenset(set().union(*[c.members for c in picked]) - context),
         context,
     )
