@@ -26,7 +26,6 @@ from cosuggest.matching import (
     build_lemma_index,
     load_lexicon,
     match_query,
-    merge_lexicon,
     normalize,
 )
 from cosuggest.log_pipeline import (
@@ -113,7 +112,6 @@ __all__ = [
     "load_ontology",
     "make_folds",
     "match_query",
-    "merge_lexicon",
     "normalize",
     "ontology_from_dict",
     "ontology_to_dict",

@@ -102,7 +102,10 @@ def load_config_file(path: str | Path) -> dict:
     stripped = text.lstrip()
     values: dict[str, object] = {}
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cannot parse config file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError(f"config file {path} must contain a JSON object")
         raw_items = payload.items()

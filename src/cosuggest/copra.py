@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from statistics import fmean
 from typing import Callable
@@ -58,21 +59,18 @@ class ConceptClusters(tuple):
     """Clusters in order, with an inverted file from concept to clusters.
 
     ``postings`` maps each concept to the positions (not ids) of the
-    clusters that contain it, in ascending order.  It is built once, when
-    the collection is made, so a lookup costs in proportion to the clusters
-    a concept touches rather than to all clusters.
+    clusters that contain it, in ascending order.  It is derived on first
+    use and then kept, so a lookup costs in proportion to the clusters a
+    concept touches rather than to all clusters.
     """
 
-    postings: dict[str, list[int]]
-
-    def __new__(cls, clusters: Iterable[ConceptCluster] = ()) -> ConceptClusters:
-        self = super().__new__(cls, clusters)
+    @cached_property
+    def postings(self) -> dict[str, list[int]]:
         postings: dict[str, list[int]] = {}
         for position, cluster in enumerate(self):
             for concept in cluster.members:
                 postings.setdefault(concept, []).append(position)
-        self.postings = postings
-        return self
+        return postings
 
 
 @dataclass

@@ -365,12 +365,18 @@ def copra_config(config: PipelineConfig) -> CopraConfig:
 
 
 def build_matcher(config: PipelineConfig) -> ConceptMatcher:
-    """Load the configured ontology, apply facet exclusions and lexicon."""
+    """Load the configured ontology, apply facet exclusions and lexicon.
+
+    Lexicon entries for classes that the facet exclusion removed are
+    dropped; an entry for a class the ontology never defined still raises.
+    """
     if not config.ontology_path:
         raise ValueError("ontology path is required")
-    ont = load_ontology(config.ontology_path)
-    ont = subset_by_facet(ont, set(config.excluded_facets))
-    lexicon = load_lexicon(config.lexicon_path) if config.lexicon_path else None
+    full = load_ontology(config.ontology_path)
+    ont = subset_by_facet(full, set(config.excluded_facets))
+    lexicon = load_lexicon(config.lexicon_path) if config.lexicon_path else {}
+    excluded = full.classes.keys() - ont.classes.keys()
+    lexicon = {cid: phrases for cid, phrases in lexicon.items() if cid not in excluded}
     return ConceptMatcher.from_ontology(ont, lexicon=lexicon)
 
 

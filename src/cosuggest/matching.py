@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from cosuggest.ontology import AnnotationPhrase, OntClass, Ontology
+from cosuggest.ontology import Ontology
 
 log = logging.getLogger(__name__)
 
@@ -26,20 +26,25 @@ _DOUBLED = {"bb", "dd", "gg", "mm", "nn", "pp", "rr", "tt"}
 
 
 def _strip_suffix(token: str) -> str:
-    """Fixed suffix rule table: plural and progressive forms only."""
+    """Fixed suffix rule table: plural and progressive forms only.
+
+    Each rule that shortens the token applies the table again to what is
+    left ("buildings" -> "building" -> "build"), so the result is a fixed
+    point: normalizing a normalized token changes nothing.
+    """
     if token.endswith("ies") and len(token) > 4:
-        return token[:-3] + "y"
+        return _strip_suffix(token[:-3] + "y")
     if token.endswith("es") and len(token) > 4 and token[-4:-2] in {"ch", "sh", "ss"}:
-        return token[:-2]
+        return _strip_suffix(token[:-2])
     if token.endswith(("xes", "zes")) and len(token) > 4:
-        return token[:-2]
+        return _strip_suffix(token[:-2])
     if token.endswith("s") and not token.endswith("ss") and len(token) > 3:
-        return token[:-1]
+        return _strip_suffix(token[:-1])
     if token.endswith("ing") and len(token) > 5:
         stem = token[:-3]
         if stem[-2:] in _DOUBLED:
             stem = stem[:-1]
-        return stem
+        return _strip_suffix(stem)
     return token
 
 
@@ -57,31 +62,42 @@ def normalize(text: str) -> list[str]:
 LemmaPhrases = dict[tuple[str, ...], frozenset[str]]
 
 
-def build_lemma_index(ont: Ontology) -> LemmaPhrases:
-    """Map every lemma-sequence phrase of every non-root class to its owners.
+def build_lemma_index(
+    ont: Ontology, lexicon: dict[str, list[str]] | None = None
+) -> LemmaPhrases:
+    """Map every phrase of every non-root class to its owners.
 
-    Annotation lemmas and the class label are indexed, each passed through
-    :func:`normalize` so both sides of a match share one normal form (a
-    data file saying "shopping" meets query tokens reduced to "shop").  One
-    phrase may map to several classes (collisions are preserved).  Classes
-    without annotations, matchable through their label only, are reported
-    at warning level.
+    Annotation lemmas, lexicon surface phrases (``lexicon`` maps class id
+    to phrases) and the class label are indexed, each passed through
+    :func:`normalize` once so both sides of a match share one normal form
+    (a data file saying "shopping" meets query tokens reduced to "shop").
+    One phrase may map to several classes (collisions are preserved).
+    A lexicon entry for an undefined class raises ``ValueError``.  Classes
+    with neither annotations nor an indexed lexicon phrase, matchable
+    through their label only, are reported at warning level.
     """
+    lexicon = lexicon or {}
+    unknown = sorted(set(lexicon) - set(ont.classes))
+    if unknown:
+        raise ValueError(f"lexicon references undefined classes: {unknown}")
     phrases: dict[tuple[str, ...], set[str]] = {}
     unannotated: set[str] = set()
 
-    def add(phrase: tuple[str, ...], class_id: str) -> None:
+    def add(text: str, class_id: str) -> bool:
+        phrase = tuple(normalize(text))
         if phrase:
             phrases.setdefault(phrase, set()).add(class_id)
+        return bool(phrase)
 
     for cls in ont.classes.values():
         if cls.id == ont.root_id:
             continue
-        if not cls.annotations:
-            unannotated.add(cls.id)
         for ann in cls.annotations:
-            add(tuple(normalize(" ".join(ann.lemmas))), cls.id)
-        add(tuple(normalize(cls.label)), cls.id)
+            add(" ".join(ann.lemmas), cls.id)
+        indexed = [add(surface, cls.id) for surface in lexicon.get(cls.id, ())]
+        if not cls.annotations and not any(indexed):
+            unannotated.add(cls.id)
+        add(cls.label, cls.id)
 
     if unannotated:
         log.warning(
@@ -94,41 +110,18 @@ def build_lemma_index(ont: Ontology) -> LemmaPhrases:
 
 def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Load a synonym lexicon: JSON object mapping class id to phrase list."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot parse lexicon file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"lexicon {path} must be a JSON object")
     lexicon: dict[str, list[str]] = {}
     for cid, phrases in payload.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
-            raise ValueError(f"lexicon entry {cid!r} must be a list of phrase strings")
+            raise ValueError(f"lexicon {path}: entry {cid!r} must be a list of phrase strings")
         lexicon[cid] = phrases
     return lexicon
-
-
-def merge_lexicon(ont: Ontology, lexicon: dict[str, list[str]]) -> Ontology:
-    """Return a copy of the ontology with lexicon phrases added as annotations.
-
-    Phrases are normalized into lemma sequences.  Unknown class ids raise.
-    """
-    unknown = sorted(set(lexicon) - set(ont.classes))
-    if unknown:
-        raise ValueError(f"lexicon references undefined classes: {unknown}")
-    classes = dict(ont.classes)
-    for cid, surfaces in lexicon.items():
-        cls = classes[cid]
-        extra = tuple(
-            AnnotationPhrase(surface=s, lemmas=tuple(normalize(s)))
-            for s in surfaces
-            if normalize(s)
-        )
-        classes[cid] = OntClass(
-            id=cls.id,
-            label=cls.label,
-            parent_ids=cls.parent_ids,
-            annotations=cls.annotations + extra,
-            facet_tag=cls.facet_tag,
-        )
-    return Ontology(root_id=ont.root_id, classes=classes)
 
 
 @dataclass(frozen=True)
@@ -141,9 +134,7 @@ class ConceptMatcher:
     def from_ontology(
         cls, ont: Ontology, lexicon: dict[str, list[str]] | None = None
     ) -> "ConceptMatcher":
-        if lexicon:
-            ont = merge_lexicon(ont, lexicon)
-        return cls(index=build_lemma_index(ont))
+        return cls(index=build_lemma_index(ont, lexicon))
 
 
 def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:

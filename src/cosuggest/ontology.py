@@ -26,7 +26,7 @@ The root class is the only class with an empty parent list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
 
@@ -239,13 +239,7 @@ def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -
         parents = frozenset(p for p in cls.parent_ids if p in kept)
         if not parents:
             parents = frozenset({ont.root_id})
-        classes[cid] = OntClass(
-            id=cls.id,
-            label=cls.label,
-            parent_ids=parents,
-            annotations=cls.annotations,
-            facet_tag=cls.facet_tag,
-        )
+        classes[cid] = replace(cls, parent_ids=parents)
     result = Ontology(root_id=ont.root_id, classes=classes)
     validate_ontology(result)
     return result

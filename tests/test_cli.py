@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +330,10 @@ def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["folds"] == 2
     assert payload["config"]["seed"] == 5
+    broken = tmp_path / "run.json"
+    broken.write_text('{"folds": 2,\n')
+    assert main(["eval", "--config", str(broken), "--log", str(log_file)]) == 2
+    assert f"cannot parse config file {broken}: " in capsys.readouterr().err
 
 
 def test_usage_error_on_bad_flag_value(ontology_file):
@@ -340,6 +345,25 @@ def test_usage_error_on_bad_flag_value(ontology_file):
 
 def test_reduce_requires_out(ontology_file, log_file, capsys):
     assert main(["reduce", "--log", str(log_file), "--ontology", str(ontology_file)]) == 2
+
+
+def test_lexicon_entries_of_excluded_classes_are_dropped(tmp_path):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data"
+    lexicon = json.loads((demo / "lexicon.json").read_text(encoding="utf-8"))
+    extended = tmp_path / "extended.json"
+    extended.write_text(json.dumps({**lexicon, "district": ["quarter"]}), encoding="utf-8")
+    inputs = ["reduce", "--log", str(demo / "search_log.tsv"),
+              "--ontology", str(demo / "city_ontology.json")]
+    outputs = []
+    for name, path in (("plain", demo / "lexicon.json"), ("extended", extended)):
+        out = tmp_path / f"{name}.ndjson"
+        assert main([*inputs, "--exclude-facet", "administrative",
+                     "--lexicon", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({**lexicon, "distrct": ["quarter"]}), encoding="utf-8")
+    assert main([*inputs, "--lexicon", str(typo), "--out", str(tmp_path / "typo.ndjson")]) == 1
 
 
 # --------------------------------------------------------- strict readers
@@ -449,6 +473,20 @@ GOOD_SESSION = (
             ["eval", "--folds", "2", "--reduced"],
             ":2:",
         ),
+        (
+            "lexicon.json",
+            '{"park": ["green space"],}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park",
+             "--clusters", "{tmp}/clusters.json", "--lexicon"],
+            ": Expecting property name",
+        ),
+        (
+            "lexicon_entry.json",
+            '{"park": "green space"}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park",
+             "--clusters", "{tmp}/clusters.json", "--lexicon"],
+            ": entry 'park' must be a list",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -467,6 +505,8 @@ GOOD_SESSION = (
         "clusters-id-a-boolean",
         "clusters-member-not-a-string",
         "reduced-query-text-not-a-string",
+        "lexicon-not-json",
+        "lexicon-entry-not-a-list",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

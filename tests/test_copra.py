@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -210,3 +211,13 @@ def test_clusters_json_roundtrip(tmp_path):
     assert payload["config"] == {"v": 1, "max_iterations": 100, "seed": 5}
     assert payload["converged"] == result.converged
     assert payload["iterations"] == result.iterations
+
+
+def test_result_converts_with_asdict():
+    result = copra_cluster(_clique_graph(("a", "b", "c"), ("x", "y", "z")), CopraConfig(seed=1))
+    payload = dataclasses.asdict(result)
+    assert list(payload["clusters"]) == [
+        {"id": 0, "members": frozenset({"a", "b", "c"})},
+        {"id": 1, "members": frozenset({"x", "y", "z"})},
+    ]
+    assert result.clusters.postings["y"] == [1]

@@ -7,7 +7,6 @@ from cosuggest.matching import (
     ConceptMatcher,
     build_lemma_index,
     match_query,
-    merge_lexicon,
     normalize,
 )
 from cosuggest.ontology import ontology_from_dict
@@ -30,6 +29,16 @@ def test_normalize_stable_on_normal_form():
     for word in ["park", "beach", "shop", "run", "library", "church", "garden"]:
         once = normalize(word)
         assert [t for w in once for t in normalize(w)] == once
+    # "buildings" -> "building" must not stop one rule short of "build".
+    assert normalize("buildings") == normalize("building") == ["build"]
+    rng = random.Random(2024)
+    letters = "abcdefghijklmnoprstuvyz"
+    suffixes = ["", "s", "es", "ies", "ing", "ings", "sing", "ning", "nings", "sses", "ches", "xes"]
+    for _ in range(2000):
+        stem = "".join(rng.choices(letters, k=rng.randint(1, 7)))
+        word = stem + "".join(rng.choices(suffixes, k=rng.randint(1, 3)))
+        once = normalize(word)
+        assert normalize(" ".join(once)) == once, word
 
 
 @pytest.mark.parametrize(
@@ -111,6 +120,12 @@ def test_unannotated_classes_reported(caplog):
     assert "bare" in caplog.text
     # The label is still indexed, so the class remains matchable.
     assert index[("bare",)] == frozenset({"bare"})
+    # A lexicon phrase makes the class annotated; one that normalizes to nothing does not.
+    for lexicon, warned in (({"bare": ["!!"]}, True), ({"bare": ["plain"]}, False)):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
+            build_lemma_index(ont, lexicon)
+        assert ("bare" in caplog.text) is warned
 
 
 def test_stored_lemmas_normalized_at_index_time(city_ontology):
@@ -131,11 +146,15 @@ def test_matches_stay_within_ontology(city_ontology):
 def test_lexicon_merge_adds_phrases(city_ontology):
     matcher = ConceptMatcher.from_ontology(city_ontology, lexicon={"park": ["green space"]})
     assert "park" in match_query(matcher, "green spaces nearby")
+    # A lexicon phrase is normalized once, like the query it must meet.
+    matcher = ConceptMatcher.from_ontology(city_ontology, lexicon={"beach": ["hot springs"]})
+    assert match_query(matcher, "hot springs") == frozenset({"beach"})
+    assert match_query(matcher, "a hot spring nearby") == frozenset({"beach"})
 
 
 def test_lexicon_unknown_class_rejected(city_ontology):
     with pytest.raises(ValueError, match="undefined classes"):
-        merge_lexicon(city_ontology, {"nope": ["x"]})
+        ConceptMatcher.from_ontology(city_ontology, lexicon={"nope": ["x"]})
 
 
 def test_match_is_pure(city_ontology):
