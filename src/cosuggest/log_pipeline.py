@@ -25,7 +25,7 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 LOG_HEADER = ("AnonID", "Query", "QueryTime", "ItemRank", "ClickURL")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     user_id: str
     query_text: str
@@ -33,7 +33,7 @@ class QueryRecord:
     clicked: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchSession:
     """A user's time-contiguous query sequence; queries sorted by timestamp.
 
@@ -101,13 +101,15 @@ def parse_log(path: str | Path) -> ParseResult:
 
     Rows carrying ItemRank/ClickURL mark their triple as clicked.  Malformed
     rows (too few columns, empty user id, unparseable timestamp) are skipped
-    and counted.  First-seen order of triples is preserved.
+    and counted.  First-seen order of triples is preserved.  The first line
+    is the header when its first field is exactly ``AnonID``; a leading
+    UTF-8 byte order mark is dropped.
     """
     dedup: dict[tuple[str, str, datetime], bool] = {}
     skipped = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         first = handle.readline()
-        if first and not first.rstrip("\r\n").startswith(LOG_HEADER[0]):
+        if first and first.rstrip("\r\n").split("\t", 1)[0] != LOG_HEADER[0]:
             # Header missing: treat the first line as data.
             handle = _chain_line(first, handle)
         for line in handle:
@@ -128,7 +130,7 @@ def parse_log(path: str | Path) -> ParseResult:
             except ValueError:
                 skipped += 1
                 continue
-            clicked = any(f.strip() for f in fields[3:5])
+            clicked = bool("".join(fields[3:5]).strip())
             key = (user_id, query_text, ts)
             dedup[key] = dedup.get(key, False) or clicked
     records = [
@@ -180,10 +182,18 @@ def reduce_dataset(sessions: list[SearchSession], matcher: ConceptMatcher) -> Re
     """Keep sessions in which at least one query matches at least one concept.
 
     Every retained session comes back carrying its per-query concept sets.
+    Each distinct query text is matched once per call, and its repeats share
+    that concept set.
     """
+    memo: dict[str, frozenset[str]] = {}
     retained: list[SearchSession] = []
     for session in sessions:
-        per_query = [match_query(matcher, rec.query_text) for rec in session.queries]
+        per_query = []
+        for rec in session.queries:
+            concepts = memo.get(rec.query_text)
+            if concepts is None:
+                concepts = memo[rec.query_text] = match_query(matcher, rec.query_text)
+            per_query.append(concepts)
         if any(per_query):
             retained.append(
                 SearchSession(
@@ -240,7 +250,7 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
                 "queries": [
                     {
                         "text": rec.query_text,
-                        "ts": rec.timestamp.strftime(TIMESTAMP_FORMAT),
+                        "ts": rec.timestamp.isoformat(" "),
                         "concepts": sorted(cset),
                     }
                     for rec, cset in zip(session.queries, session.concepts)
@@ -249,17 +259,23 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _concept_set(raw: object) -> frozenset[str]:
+def _concept_set(raw: object, interned: dict[tuple[str, ...], frozenset[str]]) -> frozenset[str]:
     if not isinstance(raw, list):
         raise ValueError("concepts must be a list")
     try:
         "".join(raw)  # one pass in C over the list, failing on a non-string
     except TypeError:
         raise ValueError(f"concepts must be strings, got {raw!r}") from None
-    return frozenset(raw)
+    key = tuple(raw)
+    concepts = interned.get(key)
+    if concepts is None:
+        concepts = interned[key] = frozenset(raw)
+    return concepts
 
 
-def _session_from_json(payload: dict) -> SearchSession:
+def _session_from_json(
+    payload: dict, interned: dict[tuple[str, ...], frozenset[str]]
+) -> SearchSession:
     for key in ("session_id", "user"):
         if not isinstance(payload[key], str):
             raise ValueError(f"{key} must be a string, got {payload[key]!r}")
@@ -280,7 +296,7 @@ def _session_from_json(payload: dict) -> SearchSession:
         )
         for text, q in zip(texts, queries)
     )
-    concepts = tuple(_concept_set(q["concepts"]) for q in queries)
+    concepts = tuple(_concept_set(q["concepts"], interned) for q in queries)
     return SearchSession(payload["session_id"], user_id, records, concepts)
 
 
@@ -290,17 +306,18 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     A malformed line (missing field, bad value, no queries, a session id,
     user, query text or concept that is not a string, concepts that are not
     a list) or a repeated session id raises ``ValueError`` naming
-    ``path:line``.
+    ``path:line``.  Equal concept lists share one set.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()
+    interned: dict[tuple[str, ...], frozenset[str]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                session = _session_from_json(json.loads(line))
+                session = _session_from_json(json.loads(line), interned)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:

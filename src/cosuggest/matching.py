@@ -137,15 +137,20 @@ class ConceptMatcher:
         return cls(index=build_lemma_index(ont, lexicon))
 
 
+# Every query that matches nothing shares one set: callers that keep the
+# results (a memo over a log's query texts) then hold one object, not one per
+# query.
+_NOTHING: frozenset[str] = frozenset()
+
+
 def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
     """Concepts whose phrases occur contiguously in the normalized query.
 
     Longer matches do not suppress shorter ones; every matching phrase
-    contributes its owning classes.
+    contributes its owning classes.  A query that matches nothing gets the
+    shared empty set.
     """
     tokens = normalize(query_text)
-    if not tokens:
-        return frozenset()
     hits: set[str] = set()
     n = len(tokens)
     for start in range(n):
@@ -153,4 +158,4 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
             ids = matcher.index.get(tuple(tokens[start:end]))
             if ids:
                 hits.update(ids)
-    return frozenset(hits)
+    return frozenset(hits) if hits else _NOTHING

@@ -1,8 +1,11 @@
+import json
 import random
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
 
+import cosuggest.log_pipeline
 from cosuggest.log_pipeline import (
     TIMESTAMP_FORMAT,
     QueryRecord,
@@ -14,7 +17,7 @@ from cosuggest.log_pipeline import (
     split_sessions,
     write_reduced_ndjson,
 )
-from cosuggest.matching import ConceptMatcher
+from cosuggest.matching import ConceptMatcher, match_query
 
 from conftest import make_dataset, make_records, write_log
 
@@ -133,6 +136,43 @@ def test_same_query_at_different_times_kept(tmp_path):
     path = tmp_path / "log.tsv"
     write_log(path, [("u1", "parks", _ts(0), "", ""), ("u1", "parks", _ts(9), "", "")])
     assert len(parse_log(path).records) == 2
+
+
+def test_header_after_byte_order_mark_is_not_a_row(tmp_path):
+    path = tmp_path / "log.tsv"
+    write_log(path, [("u1", "parks", _ts(0), "", "")])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    result = parse_log(path)
+    assert result.skipped == 0
+    assert [(r.user_id, r.query_text) for r in result.records] == [("u1", "parks")]
+
+
+def test_headerless_log_keeps_a_first_user_named_like_the_header(tmp_path):
+    path = tmp_path / "log.tsv"
+    path.write_text(f"AnonID7\tparks\t{_ts(0)}\t\t\nu2\tbeach\t{_ts(1)}\t\t\n", encoding="utf-8")
+    result = parse_log(path)
+    assert result.skipped == 0
+    assert [r.user_id for r in result.records] == ["AnonID7", "u2"]
+
+
+def test_click_flag_agrees_with_per_column_strip(tmp_path):
+    # None drops the column (and every column after it) from the row.
+    values = [None, "", " ", "\u3000", "\x0b", "1", " x ", "http://example.org"]
+    rows, expected = [], {}
+    for i, (rank, url) in enumerate((a, b) for a in values for b in values):
+        fields = ["u1", f"query {i}", f"2006-03-01 {i // 60:02d}:{i % 60:02d}:00"]
+        for value in (rank, url):
+            if value is None:
+                break
+            fields.append(value)
+        rows.append("\t".join(fields))
+        expected[f"query {i}"] = any(f.strip() for f in fields[3:5])
+    path = tmp_path / "log.tsv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    result = parse_log(path)
+    assert result.skipped == 0
+    assert {r.query_text: r.clicked for r in result.records} == expected
+    assert set(expected.values()) == {False, True}
 
 
 def test_missing_file_raises():
@@ -300,6 +340,43 @@ def test_reduce_output_is_subset_of_input(city_ontology):
     assert all(len(s.concepts) == len(s.queries) for s in ds.sessions)
 
 
+def test_reduce_matches_each_distinct_text_once(city_ontology, monkeypatch):
+    matcher = ConceptMatcher.from_ontology(city_ontology)
+    rng = random.Random(23)
+    texts = ["park", "beach walk", "pizza", "news today", "museum cafe", "dog park", "tea"]
+    records = []
+    for u in range(12):
+        m = 0
+        stream = []
+        for _ in range(rng.randint(1, 12)):
+            stream.append((rng.choice(texts), m))
+            m += rng.randint(0, 70)
+        records += make_records(f"u{u}", stream)
+    sessions = split_sessions(records, GAP_30)
+
+    # Oracle: match every query on its own and keep sessions with any match.
+    expected = []
+    for s in sessions:
+        per_query = tuple(match_query(matcher, rec.query_text) for rec in s.queries)
+        if any(per_query):
+            expected.append((s.session_id, s.user_id, s.queries, per_query))
+
+    calls = Counter()
+
+    def counting(m, text):
+        calls[text] += 1
+        return match_query(m, text)
+
+    monkeypatch.setattr(cosuggest.log_pipeline, "match_query", counting)
+    ds = reduce_dataset(sessions, matcher)
+    got = [(s.session_id, s.user_id, s.queries, s.concepts) for s in ds.sessions]
+    assert got == expected
+    assert 0 < len(expected) < len(sessions)
+    all_texts = [rec.query_text for s in sessions for rec in s.queries]
+    assert len(all_texts) > len(set(all_texts))
+    assert calls == Counter(set(all_texts))
+
+
 # ----------------------------------------------------- session_length_stats
 
 def test_length_stats_uniform():
@@ -347,6 +424,43 @@ def test_ndjson_roundtrip(tally_log, city_ontology, tmp_path):
     # Query text and timestamps survive the round trip.
     assert loaded.sessions[0].queries[0].query_text == ds.sessions[0].queries[0].query_text
     assert loaded.sessions[0].queries[0].timestamp == ds.sessions[0].queries[0].timestamp
+
+
+def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
+    log = tmp_path / "log.tsv"
+    write_log(log, [("u1", "park", "0999-01-02 03:04:05", "", "")])
+    ds = reduce_dataset(
+        split_sessions(parse_log(log).records, GAP_30), ConceptMatcher.from_ontology(city_ontology)
+    )
+    out = tmp_path / "reduced.ndjson"
+    write_reduced_ndjson(ds, out)
+    assert json.loads(out.read_text())["queries"][0]["ts"] == "0999-01-02 03:04:05"
+    loaded = read_reduced_ndjson(out)
+    assert loaded.sessions[0].queries[0].timestamp == datetime(999, 1, 2, 3, 4, 5)
+
+
+def test_reduced_concept_sets_are_interned(tmp_path):
+    lists = [["a", "b"], ["a\tb"], ["a", "b"], [], ["b", "a"], ["a\tb"], [], ["a", "b"]]
+    path = tmp_path / "reduced.ndjson"
+    path.write_text(
+        "".join(
+            json.dumps(
+                {
+                    "session_id": f"u#{i}",
+                    "user": "u",
+                    "queries": [{"text": "q", "ts": _ts(0), "concepts": raw}],
+                }
+            )
+            + "\n"
+            for i, raw in enumerate(lists)
+        ),
+        encoding="utf-8",
+    )
+    got = [s.concepts[0] for s in read_reduced_ndjson(path).sessions]
+    assert got == [frozenset(raw) for raw in lists]
+    for i, j in ((0, 2), (0, 7), (1, 5), (3, 6)):
+        assert got[i] is got[j]
+    assert got[0] != got[1]
 
 
 def test_ndjson_bytes_deterministic(tally_log, city_ontology, tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cosuggest.matching import (
+    _NOTHING,
     ConceptMatcher,
     build_lemma_index,
     match_query,
@@ -162,3 +163,23 @@ def test_match_is_pure(city_ontology):
     first = match_query(matcher, "park and beach")
     second = match_query(matcher, "park and beach")
     assert first == second == frozenset({"park", "beach"})
+
+
+def test_every_empty_match_is_the_shared_set(city_ontology):
+    matcher = ConceptMatcher.from_ontology(city_ontology)
+    rng = random.Random(5)
+    vocabulary = ["park", "public", "garden", "shopping", "mall", "pizza", "the", "!!", ""]
+    queries = ["", "   ", "?!", "quantum entanglement"]
+    queries += [" ".join(rng.choices(vocabulary, k=rng.randint(1, 5))) for _ in range(300)]
+    empty = 0
+    for text in queries:
+        # Oracle: the owners of every indexed phrase found as a contiguous run.
+        tokens = normalize(text)
+        n = len(tokens)
+        spans = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
+        expected = frozenset().union(*(ids for p, ids in matcher.index.items() if p in spans))
+        got = match_query(matcher, text)
+        assert got == expected, text
+        assert (got is _NOTHING) is (not expected), text
+        empty += not expected
+    assert 4 <= empty < len(queries)
