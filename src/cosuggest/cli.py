@@ -5,12 +5,14 @@ whole experiment can run fused through ``eval``.  Every artifact embeds
 provenance (config hash, seed, package version); line-oriented formats
 (NDJSON, TSV, CSV) carry it in a ``<artifact>.meta.json`` sidecar so their
 line schemas stay clean.  Exit codes: 0 ok, 1 pipeline error, 2 usage or
-I/O error.
+I/O error.  The batch stages (``BATCH_COMMANDS``) run with the cyclic
+garbage collector paused; :func:`main` restores the caller's setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,6 +34,11 @@ from cosuggest.log_pipeline import read_reduced_ndjson, write_reduced_ndjson
 from cosuggest.matching import match_query
 from cosuggest.ontology import OntologyError, compute_metrics, load_ontology, subset_by_facet
 from cosuggest.suggestion import Strategy, suggest
+
+
+# None of these makes cyclic garbage in proportion to its input, so a
+# collection would only walk the loaded dataset again and again.
+BATCH_COMMANDS = frozenset({"reduce", "graph", "cluster", "eval"})
 
 
 class UsageError(Exception):
@@ -317,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     stage = args.command
+    gc_was_enabled = gc.isenabled()
+    if stage in BATCH_COMMANDS:
+        gc.disable()
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -328,6 +338,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OntologyError, ValueError) as exc:
         print(f"{stage}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

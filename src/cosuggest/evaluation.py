@@ -83,6 +83,7 @@ class SessionOutcome(NamedTuple):
     ground_truth: frozenset[str]
     suggested: frozenset[str]
     hits: int
+    f1: float
 
 
 def _context_and_truth(
@@ -98,8 +99,10 @@ def _context_and_truth(
 def _outcome(
     session_length: int, ground_truth: frozenset[str], suggested: frozenset[str]
 ) -> SessionOutcome:
+    """Hits and per-session F1, computed once for every metric that reads them."""
     hits = len(suggested & ground_truth)
-    return SessionOutcome(session_length, ground_truth, suggested, hits)
+    f1 = _harmonic(hits / len(suggested), hits / len(ground_truth)) if hits else 0.0
+    return SessionOutcome(session_length, ground_truth, suggested, hits, f1)
 
 
 def outcome_from_concept_sets(
@@ -111,13 +114,6 @@ def outcome_from_concept_sets(
     context, ground_truth = _context_and_truth(concept_sets)
     suggested = suggest(clusters, context, strategy).suggested
     return _outcome(len(concept_sets), ground_truth, suggested)
-
-
-def _session_f1(outcome: SessionOutcome) -> float:
-    if outcome.hits == 0:
-        return 0.0
-    precision = outcome.hits / len(outcome.suggested)
-    return _harmonic(precision, outcome.hits / len(outcome.ground_truth))
 
 
 def _harmonic(precision: float, recall: float) -> float:
@@ -186,7 +182,7 @@ def aggregate(
         recall=recall,
         precision=precision,
         f1=_harmonic(precision, recall),
-        f1_session_mean=fmean(_session_f1(o) for o in scored),
+        f1_session_mean=fmean(o.f1 for o in scored),
         richness_min=min(hits),
         richness_max=max(hits),
         richness_mean=fmean(hits),
@@ -209,7 +205,7 @@ def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
     for outcome in outcomes:
         if not outcome.ground_truth:
             continue
-        groups.setdefault(outcome.session_length, []).append(_session_f1(outcome))
+        groups.setdefault(outcome.session_length, []).append(outcome.f1)
     return [
         LengthF1(length, fmean(vals), len(vals)) for length, vals in sorted(groups.items())
     ]
@@ -300,7 +296,13 @@ def _run_fold(
         else ConceptClusters()
     )
 
-    scored = [_context_and_truth(s.concepts) for s in test_sessions]
+    # Equal ground truths share one set: the outcomes of every fold are kept
+    # until the report is built.
+    truths: dict[frozenset[str], frozenset[str]] = {}
+    scored = []
+    for session in test_sessions:
+        context, truth = _context_and_truth(session.concepts)
+        scored.append((context, truths.setdefault(truth, truth)))
     results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}
     for strategy in strategies:
         suggested: dict[frozenset[str], frozenset[str]] = {}

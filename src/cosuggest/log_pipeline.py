@@ -3,7 +3,8 @@
 Input logs are tab-separated UTF-8 files with the header
 ``AnonID\\tQuery\\tQueryTime\\tItemRank\\tClickURL``.  A query followed by
 click-through events repeats its row with the click columns populated;
-those rows collapse into a single record with ``clicked=True``.
+those rows collapse into a single record, and the click columns are not
+read.
 Timestamps use the format ``YYYY-MM-DD HH:MM:SS`` in local log time.
 """
 
@@ -30,7 +31,6 @@ class QueryRecord:
     user_id: str
     query_text: str
     timestamp: datetime
-    clicked: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,9 +45,6 @@ class SearchSession:
     user_id: str
     queries: tuple[QueryRecord, ...]
     concepts: tuple[frozenset[str], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.queries)
 
 
 @dataclass(frozen=True)
@@ -99,13 +96,13 @@ def parse_timestamp(text: str) -> datetime:
 def parse_log(path: str | Path) -> ParseResult:
     """Parse a TSV query log into one record per (user, query, timestamp) triple.
 
-    Rows carrying ItemRank/ClickURL mark their triple as clicked.  Malformed
+    Click rows repeat their query's triple and collapse into it.  Malformed
     rows (too few columns, empty user id, unparseable timestamp) are skipped
     and counted.  First-seen order of triples is preserved.  The first line
     is the header when its first field is exactly ``AnonID``; a leading
     UTF-8 byte order mark is dropped.
     """
-    dedup: dict[tuple[str, str, datetime], bool] = {}
+    dedup: dict[tuple[str, str, datetime], None] = {}
     skipped = 0
     with open(path, encoding="utf-8-sig") as handle:
         first = handle.readline()
@@ -130,13 +127,8 @@ def parse_log(path: str | Path) -> ParseResult:
             except ValueError:
                 skipped += 1
                 continue
-            clicked = bool("".join(fields[3:5]).strip())
-            key = (user_id, query_text, ts)
-            dedup[key] = dedup.get(key, False) or clicked
-    records = [
-        QueryRecord(user_id=u, query_text=q, timestamp=t, clicked=c)
-        for (u, q, t), c in dedup.items()
-    ]
+            dedup[user_id, query_text, ts] = None
+    records = [QueryRecord(user_id=u, query_text=q, timestamp=t) for u, q, t in dedup]
     if skipped:
         log.info("parse_log: skipped %d malformed rows", skipped)
     return ParseResult(records=records, skipped=skipped)
@@ -301,7 +293,7 @@ def _session_from_json(
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
-    """Inverse of :func:`write_reduced_ndjson`; click flags are not round-tripped.
+    """Inverse of :func:`write_reduced_ndjson`.
 
     A malformed line (missing field, bad value, no queries, a session id,
     user, query text or concept that is not a string, concepts that are not

@@ -1,8 +1,12 @@
+import gc
 import json
+import random
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 
+import cosuggest.cli
 import cosuggest.evaluation
 from cosuggest.cli import main
 from cosuggest.config import (
@@ -14,6 +18,8 @@ from cosuggest.config import (
 )
 
 from conftest import CITY_ONTOLOGY, write_log
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -519,3 +525,135 @@ def test_malformed_artifact_exits_1_with_location(
     err = capsys.readouterr().err
     assert f"{path}{where}" in err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------ garbage collector
+
+@pytest.fixture
+def gc_state():
+    """Start with the collector on; leave it as the test found it."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+def _stage_argvs(log, tmp_path):
+    ontology, lexicon = str(DATA / "city_ontology.json"), str(DATA / "lexicon.json")
+    reduced, graph = tmp_path / "reduced.ndjson", tmp_path / "graph.tsv"
+    return {
+        "reduce": ["reduce", "--log", str(log), "--ontology", ontology,
+                   "--lexicon", lexicon, "--out", str(reduced)],
+        "graph": ["graph", "--reduced", str(reduced), "--out", str(graph)],
+        "cluster": ["cluster", "--graph", str(graph), "--out", str(tmp_path / "clusters.json")],
+        "eval": ["eval", "--reduced", str(reduced), "--folds", "5",
+                 "--out", str(tmp_path / "report.json")],
+    }
+
+
+def test_main_reenables_gc_after_every_exit(gc_state, tmp_path, monkeypatch, capsys):
+    argvs = _stage_argvs(DATA / "search_log.tsv", tmp_path)
+    for command, argv in argvs.items():
+        assert main(argv) == 0, command
+        assert gc.isenabled(), command
+    assert main(["eval"]) == 2
+    assert gc.isenabled()
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("{}\n", encoding="utf-8")
+    assert main(["graph", "--reduced", str(bad), "--out", str(tmp_path / "g.tsv")]) == 1
+    assert gc.isenabled()
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cosuggest.cli, "run_experiment_on_dataset", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(argvs["eval"])
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_disabled_gc_disabled(gc_state, tmp_path, capsys):
+    gc.disable()
+    argvs = _stage_argvs(DATA / "search_log.tsv", tmp_path)
+    assert main(argvs["reduce"]) == 0
+    assert not gc.isenabled()
+    assert main(["eval"]) == 2
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize(
+    "handler, argv, collects",
+    [
+        ("cmd_reduce", ["reduce"], False),
+        ("cmd_graph", ["graph"], False),
+        ("cmd_cluster", ["cluster"], False),
+        ("cmd_eval", ["eval"], False),
+        ("cmd_suggest", ["suggest", "--query", "parks"], True),
+        ("cmd_ont_metrics", ["ont-metrics"], True),
+    ],
+)
+def test_only_batch_handlers_run_with_gc_paused(gc_state, monkeypatch, handler, argv, collects):
+    seen = []
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cosuggest.cli, handler, spy)
+    assert main(argv) == 0
+    assert seen == [collects]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_calls_keep_the_callers_gc_state(gc_state, enabled):
+    if not enabled:
+        gc.disable()
+    config = PipelineConfig(
+        log_path=str(DATA / "search_log.tsv"),
+        ontology_path=str(DATA / "city_ontology.json"),
+        lexicon_path=str(DATA / "lexicon.json"),
+        folds=5,
+    )
+    ds = cosuggest.evaluation.reduce_from_config(config)
+    assert gc.isenabled() is enabled
+    cosuggest.evaluation.run_experiment_on_dataset(ds, config)
+    assert gc.isenabled() is enabled
+
+
+def _seeded_log(path, seed, n_rows):
+    """A log of ``n_rows`` demo query texts by random users at random times."""
+    lines = (DATA / "search_log.tsv").read_text(encoding="utf-8").splitlines()
+    texts = sorted({line.split("\t")[1] for line in lines[1:]})
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n_rows):
+        stamp = datetime(2006, 3, 1) + timedelta(minutes=3 * i + rng.randrange(60))
+        rows.append((f"u{rng.randrange(n_rows // 6)}", rng.choice(texts), str(stamp), "", ""))
+    write_log(path, rows)
+
+
+def test_batch_stages_leave_no_garbage_that_grows_with_input(gc_state, tmp_path, capsys):
+    """With the collector paused, what a stage leaves for it must not scale."""
+
+    def garbage_per_stage(log, workdir):
+        workdir.mkdir()
+        found = {}
+        for command, argv in _stage_argvs(log, workdir).items():
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argv) == 0, command
+                found[command] = gc.collect()
+            finally:
+                gc.enable()
+        sessions = len((workdir / "reduced.ndjson").read_text(encoding="utf-8").splitlines())
+        return found, sessions
+
+    small, small_sessions = garbage_per_stage(DATA / "search_log.tsv", tmp_path / "demo")
+    big_log = tmp_path / "big.tsv"
+    _seeded_log(big_log, seed=5, n_rows=400)
+    big, big_sessions = garbage_per_stage(big_log, tmp_path / "big")
+    assert big_sessions >= 4 * small_sessions
+    assert big == small

@@ -8,7 +8,6 @@ from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import build_graph, prune
 from cosuggest.copra import ConceptCluster, copra_cluster
 from cosuggest.evaluation import (
-    SessionOutcome,
     _context_and_truth,
     _run_fold,
     aggregate,
@@ -25,8 +24,7 @@ from conftest import make_dataset, topic_dataset
 
 
 def _outcome(length, gt, suggested):
-    gt, suggested = frozenset(gt), frozenset(suggested)
-    return SessionOutcome(length, gt, suggested, hits=len(suggested & gt))
+    return cosuggest.evaluation._outcome(length, frozenset(gt), frozenset(suggested))
 
 
 # -------------------------------------------------------------- make_folds

