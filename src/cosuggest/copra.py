@@ -62,6 +62,12 @@ class ConceptClusters(tuple):
     clusters that contain it, in ascending order.  It is derived on first
     use and then kept, so a lookup costs in proportion to the clusters a
     concept touches rather than to all clusters.
+
+    ``answers`` is :func:`~cosuggest.suggestion.suggest`'s memo: it maps
+    each (strategy, context) asked of these clusters to the result returned,
+    so a repeated context is answered once.  It starts empty on first use,
+    grows by one entry per distinct (strategy, context) and lives as long
+    as this collection.
     """
 
     @cached_property
@@ -71,6 +77,10 @@ class ConceptClusters(tuple):
             for concept in cluster.members:
                 postings.setdefault(concept, []).append(position)
         return postings
+
+    @cached_property
+    def answers(self) -> dict[tuple[object, frozenset[str]], tuple]:
+        return {}
 
 
 @dataclass

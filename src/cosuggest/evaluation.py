@@ -13,8 +13,10 @@ graph is that graph minus the graph of its held-out sessions: a weight
 counts sessions, so the difference is exactly the graph of the training
 sessions.  Within a fold each distinct context is passed to ``suggest``
 once per strategy (``suggest`` is pure); its sessions share the answer.
-Every metric is an ``fmean`` (``math.fsum``-based, so exactly rounded), a
-min, a max or a count: the order in which sessions are scored moves no byte.
+A fold hands back its metrics and the per-length F1 values of its scored
+sessions, not the sessions' outcomes.  Every metric is an ``fmean``
+(``math.fsum``-based, so exactly rounded), a min, a max or a count: the
+order in which sessions are scored moves no byte.
 
 Metrics are macro-averaged: per-session recall and precision are averaged
 within a fold, fold values are averaged into the report.  Sessions with
@@ -201,11 +203,20 @@ def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
     Sessions with empty ground truth are excluded, mirroring aggregation.
     Smoothing is left to external plotting tools.
     """
+    return _length_rows(_f1_values_by_length(outcomes))
+
+
+def _f1_values_by_length(outcomes: list[SessionOutcome]) -> dict[int, list[float]]:
+    """The F1 of each outcome with a non-empty ground truth, by session length."""
     groups: dict[int, list[float]] = {}
     for outcome in outcomes:
-        if not outcome.ground_truth:
-            continue
-        groups.setdefault(outcome.session_length, []).append(outcome.f1)
+        if outcome.ground_truth:
+            groups.setdefault(outcome.session_length, []).append(outcome.f1)
+    return groups
+
+
+def _length_rows(groups: dict[int, list[float]]) -> list[LengthF1]:
+    # ``fmean`` sums exactly, so the order the values were pooled in moves no byte.
     return [
         LengthF1(length, fmean(vals), len(vals)) for length, vals in sorted(groups.items())
     ]
@@ -288,7 +299,8 @@ def _run_fold(
     fold: int,
     config: PipelineConfig,
     strategies: Sequence[Strategy],
-) -> dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]]:
+) -> dict[Strategy, tuple[FoldMetrics | None, dict[int, list[float]]]]:
+    """Each strategy's metrics on the fold, with its F1 values by session length."""
     graph = prune(full - build_graph(test_sessions), config.prune_min_weight)
     clusters = (
         copra_cluster(graph, copra_config(config)).clusters
@@ -296,15 +308,11 @@ def _run_fold(
         else ConceptClusters()
     )
 
-    # Equal ground truths share one set: the outcomes of every fold are kept
-    # until the report is built.
-    truths: dict[frozenset[str], frozenset[str]] = {}
-    scored = []
-    for session in test_sessions:
-        context, truth = _context_and_truth(session.concepts)
-        scored.append((context, truths.setdefault(truth, truth)))
-    results: dict[Strategy, tuple[FoldMetrics | None, list[SessionOutcome]]] = {}
+    scored = [_context_and_truth(session.concepts) for session in test_sessions]
+    results: dict[Strategy, tuple[FoldMetrics | None, dict[int, list[float]]]] = {}
     for strategy in strategies:
+        # ``suggest`` memoizes too, but a call through it costs more than
+        # this lookup, and most sessions repeat a context.
         suggested: dict[frozenset[str], frozenset[str]] = {}
         outcomes = []
         for session, (context, truth) in zip(test_sessions, scored):
@@ -319,7 +327,7 @@ def _run_fold(
             )
         except ValueError:
             metrics = None
-        results[strategy] = (metrics, outcomes)
+        results[strategy] = (metrics, _f1_values_by_length(outcomes))
     return results
 
 
@@ -339,11 +347,14 @@ def run_experiment_on_dataset(
     per_strategy: dict[str, StrategyReport] = {}
     for strategy in strategies:
         folds = [result[strategy][0] for result in fold_results]
-        pooled = [outcome for result in fold_results for outcome in result[strategy][1]]
+        pooled: dict[int, list[float]] = {}
+        for result in fold_results:
+            for length, values in result[strategy][1].items():
+                pooled.setdefault(length, []).extend(values)
         per_strategy[strategy.value] = StrategyReport(
             folds=folds,
             summary=summarize_folds(folds),
-            f1_by_length=f1_by_length(pooled),
+            f1_by_length=_length_rows(pooled),
         )
 
     return EvaluationReport(

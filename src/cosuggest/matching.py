@@ -5,6 +5,10 @@ external services), then matched against the lemma sequences of class
 annotations: a class matches when one of its phrases occurs as a
 contiguous token subsequence of the normalized query.  Overlapping
 phrase matches all fire; the result is the union of owning classes.
+
+A window of query tokens can only be an indexed phrase if every token in
+it occurs in some indexed phrase, so the scan of windows from one start
+stops at the first token outside the matcher's ``vocabulary``.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from cosuggest.ontology import Ontology
@@ -126,9 +131,17 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
 
 @dataclass(frozen=True)
 class ConceptMatcher:
-    """Matcher over a built lemma index (phrase -> owning class ids)."""
+    """Matcher over a built lemma index (phrase -> owning class ids).
+
+    ``vocabulary`` is every token that occurs in an indexed phrase, derived
+    from ``index`` on first use and then kept.
+    """
 
     index: LemmaPhrases
+
+    @cached_property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset(token for phrase in self.index for token in phrase)
 
     @classmethod
     def from_ontology(
@@ -151,11 +164,14 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
     shared empty set.
     """
     tokens = normalize(query_text)
+    index, vocabulary = matcher.index, matcher.vocabulary
     hits: set[str] = set()
     n = len(tokens)
     for start in range(n):
         for end in range(start + 1, n + 1):
-            ids = matcher.index.get(tuple(tokens[start:end]))
+            if tokens[end - 1] not in vocabulary:
+                break  # neither this window nor any longer one is indexed
+            ids = index.get(tuple(tokens[start:end]))
             if ids:
                 hits.update(ids)
     return frozenset(hits) if hits else _NOTHING

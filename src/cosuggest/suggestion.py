@@ -18,7 +18,11 @@ context.  Already-observed concepts are never suggested.
 Each strategy reads the clusters that share concepts with the context, and
 how many, from the collection's concept -> clusters index
 (:class:`~cosuggest.copra.ConceptClusters`), so a call costs in proportion
-to the clusters the context touches, not to all clusters.
+to the clusters the context touches, not to all clusters.  The collection
+also keeps every answer given (``ConceptClusters.answers``): a context
+asked again under the same strategy gets the stored result, the same
+object, without recomputation.  Results are immutable, so sharing them is
+safe.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ class Strategy(Enum):
 class SuggestionResult(NamedTuple):
     selected_clusters: tuple[int, ...]
     suggested: frozenset[str]
-    context: frozenset[str]
 
 
 # Every empty answer shares one set: callers that keep their answers (the
@@ -54,14 +57,28 @@ def suggest(
 ) -> SuggestionResult:
     """Select clusters matching the context and suggest their unseen members.
 
-    Pure function: identical inputs yield identical outputs.  An empty
-    context, or a context no cluster intersects, yields no suggestions.
-    ``clusters`` may be any sequence; a :class:`ConceptClusters` brings its
-    concept -> clusters index, any other sequence is indexed for this call.
+    Pure function: identical inputs yield equal outputs.  An empty context,
+    or a context no cluster intersects, yields no suggestions.  ``clusters``
+    may be any sequence; a :class:`ConceptClusters` brings its concept ->
+    clusters index and its memo of answers, so asking it the same context
+    (as a ``set`` or a ``frozenset``) under the same strategy again returns
+    the same result object.  Any other sequence is indexed for this call
+    only and keeps no memo.
     """
     context = frozenset(context)
     if not isinstance(clusters, ConceptClusters):
         clusters = ConceptClusters(clusters)
+    answers = clusters.answers
+    key = (strategy, context)
+    result = answers.get(key)
+    if result is None:
+        result = answers[key] = _answer(clusters, context, strategy)
+    return result
+
+
+def _answer(
+    clusters: ConceptClusters, context: frozenset[str], strategy: Strategy
+) -> SuggestionResult:
     postings = clusters.postings
     overlap: dict[int, int] = {}  # position of each touched cluster -> shared concepts
     for concept in context:
@@ -81,11 +98,10 @@ def suggest(
 
     picked = [clusters[p] for p in selected]
     if not picked:
-        return SuggestionResult((), _NOTHING, context)
+        return SuggestionResult((), _NOTHING)
     # A set difference grows its table by insertion (a five-concept answer
     # gets 32 slots); copying it into the frozenset sizes the table to fit.
     return SuggestionResult(
         tuple(sorted([c.id for c in picked])),
         frozenset(set().union(*[c.members for c in picked]) - context),
-        context,
     )

@@ -81,7 +81,7 @@ def test_criterion_2_subset_laws_randomized():
         assert strict.suggested <= slack.suggested
         assert selective.suggested <= slack.suggested
         for result in (slack, selective, strict):
-            assert not result.suggested & result.context
+            assert not result.suggested & context
     _passed(2, "subset laws and context disjointness over 1000 random instances")
 
 

@@ -314,7 +314,12 @@ def test_experiment_rates_within_bounds():
 
 
 def test_fold_outcomes_match_per_session_oracle(monkeypatch):
-    """Scoring once per distinct context gives each session's own outcome."""
+    """Scoring once per distinct context gives each session's own outcome.
+
+    A fold hands back its metrics and the F1 values of its scored sessions
+    by length; pooled over the folds, they give the report's rows, which
+    must equal ``f1_by_length`` over every fold's oracle outcomes.
+    """
     calls = []
 
     def counting_suggest(clusters, context, strategy):
@@ -327,6 +332,7 @@ def test_fold_outcomes_match_per_session_oracle(monkeypatch):
         ds = topic_dataset(100 + seed, 300, n_topics=4)
         config = _config(folds=3 + seed % 3, seed=seed)
         full = build_graph(ds.sessions)
+        pooled = {strategy: [] for strategy in Strategy}
         for fold, test_sessions in enumerate(make_folds(ds, config.folds, config.seed)):
             calls.clear()
             results = _run_fold(full, test_sessions, fold, config, tuple(Strategy))
@@ -344,9 +350,17 @@ def test_fold_outcomes_match_per_session_oracle(monkeypatch):
                     outcome_from_concept_sets(s.concepts, clusters, strategy)
                     for s in test_sessions
                 ]
-                assert results[strategy][1] == expected
-                for o in results[strategy][1]:
+                for o in expected:
                     assert o.hits == len(o.suggested & o.ground_truth)
                     assert o.hits <= min(len(o.suggested), len(o.ground_truth))
-                assert results[strategy][0] == aggregate(expected, fold=fold)
+                f1_values = {}
+                for o in expected:
+                    if o.ground_truth:
+                        f1_values.setdefault(o.session_length, []).append(o.f1)
+                assert results[strategy] == (aggregate(expected, fold=fold), f1_values)
+                pooled[strategy] += expected
+        report = run_experiment_on_dataset(ds, config)
+        for strategy in Strategy:
+            rows = report.strategies[strategy.value].f1_by_length
+            assert rows == f1_by_length(pooled[strategy])
     assert empty_contexts

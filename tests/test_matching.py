@@ -166,20 +166,48 @@ def test_match_is_pure(city_ontology):
 
 
 def test_every_empty_match_is_the_shared_set(city_ontology):
-    matcher = ConceptMatcher.from_ontology(city_ontology)
+    # Built directly: "old" and "hall" occur only inside longer phrases.
+    direct = _matcher({("old", "town", "hall"): {"hall"}, ("town",): {"town"}, ("hall", "park"): {"hp"}})
+    cases = [
+        (
+            ConceptMatcher.from_ontology(city_ontology),
+            ["park", "public", "garden", "shopping", "mall", "pizza", "the", "!!", ""],
+            ["", "   ", "?!", "quantum entanglement", "public mall", "garden public",
+             "public the garden", "the public garden pizza", "mall shopping"],
+        ),
+        (
+            direct,
+            ["old", "town", "hall", "park", "new", "the"],
+            ["old town hall", "old the town hall", "hall town old", "new town hall park", "old hall"],
+        ),
+    ]
     rng = random.Random(5)
-    vocabulary = ["park", "public", "garden", "shopping", "mall", "pizza", "the", "!!", ""]
-    queries = ["", "   ", "?!", "quantum entanglement"]
-    queries += [" ".join(rng.choices(vocabulary, k=rng.randint(1, 5))) for _ in range(300)]
-    empty = 0
-    for text in queries:
-        # Oracle: the owners of every indexed phrase found as a contiguous run.
-        tokens = normalize(text)
-        n = len(tokens)
-        spans = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
-        expected = frozenset().union(*(ids for p, ids in matcher.index.items() if p in spans))
-        got = match_query(matcher, text)
-        assert got == expected, text
-        assert (got is _NOTHING) is (not expected), text
-        empty += not expected
-    assert 4 <= empty < len(queries)
+    seen = dict.fromkeys(("empty", "gap", "edge", "wrong_order"), 0)
+    total = 0
+    for matcher, vocabulary, queries in cases:
+        known = {t for phrase in matcher.index for t in phrase}
+        pairs = {phrase[i : i + 2] for phrase in matcher.index for i in range(len(phrase) - 1)}
+        queries = queries + [" ".join(rng.choices(vocabulary, k=rng.randint(1, 5))) for _ in range(300)]
+        for text in queries:
+            # Oracle: the owners of every indexed phrase found as a contiguous run.
+            tokens = normalize(text)
+            n = len(tokens)
+            spans = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
+            expected = frozenset().union(*(ids for p, ids in matcher.index.items() if p in spans))
+            got = match_query(matcher, text)
+            assert got == expected, text
+            assert (got is _NOTHING) is (not expected), text
+
+            indexed = [t in known for t in tokens]
+            seen["empty"] += not expected
+            # An unindexed token between indexed ones; a query starting or
+            # ending on one; indexed neighbours that form no phrase in this order.
+            seen["gap"] += any(indexed[i - 1] > indexed[i] < indexed[i + 1] for i in range(1, n - 1))
+            seen["edge"] += any(indexed) and not (indexed[0] and indexed[-1])
+            seen["wrong_order"] += any(
+                indexed[i] and indexed[i + 1] and tuple(tokens[i : i + 2]) not in pairs
+                for i in range(n - 1)
+            )
+            total += 1
+    assert 4 <= seen["empty"] < total
+    assert all(count >= 20 for count in seen.values()), seen

@@ -92,7 +92,7 @@ def test_result_invariants_hold():
         )
     )
     assert result.suggested <= union
-    assert not result.suggested & result.context
+    assert not result.suggested & WORKED_CONTEXT
 
 
 def _random_instance(rng: random.Random):
@@ -115,7 +115,7 @@ def test_subset_laws_on_randomized_instances():
         assert strict.suggested <= slack.suggested
         assert selective.suggested <= slack.suggested
         for result in (slack, selective, strict):
-            assert not result.suggested & result.context
+            assert not result.suggested & context
 
 
 def test_strict_rule_brute_force_over_small_contexts():
@@ -194,9 +194,33 @@ def test_index_matches_full_scan_on_random_cluster_sets():
             want = _scan(clusters, context, strategy)
             for form in (clusters, indexed):
                 result = suggest(form, context, strategy)
-                assert (result.selected_clusters, result.suggested) == want
-                assert result.context == context
+                assert result == want
+                assert not result.suggested & context
+                # Asked again: the collection's memo hands back the stored
+                # object; a plain list is indexed anew and keeps no memo.
+                again = suggest(form, context, strategy)
+                assert again is result if form is indexed else again == result
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_each_cluster_collection_keeps_its_own_answers():
+    whole = ConceptClusters(WORKED_CLUSTERS)
+    equal = ConceptClusters(WORKED_CLUSTERS)
+    without_3 = ConceptClusters(WORKED_CLUSTERS[:2])  # nothing holds c9
+    contexts = [{"c1", "c3"}, {"c9"}, {"c5", "c9"}, set()]
+    for strategy in Strategy:
+        for context in contexts:
+            first = suggest(whole, context, strategy)
+            # A set and a frozenset of the same concepts hit one memo entry.
+            assert suggest(whole, frozenset(context), strategy) is first
+            assert suggest(equal, frozenset(context), strategy) is not first
+            own = suggest(without_3, context, strategy)
+            assert own == _scan(without_3, frozenset(context), strategy)
+            assert own is not first
+    for clusters in (whole, equal, without_3):
+        assert len(clusters.answers) == len(contexts) * len(Strategy)
+    assert suggest(without_3, {"c9"}, Strategy.SLACK).suggested == frozenset()
+    assert suggest(whole, {"c9"}, Strategy.SLACK).suggested == frozenset({"c5", "c8"})
 
 
 def test_cluster_producers_return_an_index_that_matches_the_members(tmp_path):
