@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
-from cosuggest.copra import ConceptCluster, ConceptClusters, CopraConfig, copra_cluster
+from cosuggest.copra import ConceptClusters, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
     ReducedDataset,
     SearchSession,
@@ -105,17 +105,6 @@ def _outcome(
     hits = len(suggested & ground_truth)
     f1 = _harmonic(hits / len(suggested), hits / len(ground_truth)) if hits else 0.0
     return SessionOutcome(session_length, ground_truth, suggested, hits, f1)
-
-
-def outcome_from_concept_sets(
-    concept_sets: Sequence[frozenset[str]],
-    clusters: Sequence[ConceptCluster],
-    strategy: Strategy,
-) -> SessionOutcome:
-    """Score one session from its per-query concept sets (first query = context)."""
-    context, ground_truth = _context_and_truth(concept_sets)
-    suggested = suggest(clusters, context, strategy).suggested
-    return _outcome(len(concept_sets), ground_truth, suggested)
 
 
 def _harmonic(precision: float, recall: float) -> float:

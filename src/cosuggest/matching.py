@@ -6,9 +6,15 @@ annotations: a class matches when one of its phrases occurs as a
 contiguous token subsequence of the normalized query.  Overlapping
 phrase matches all fire; the result is the union of owning classes.
 
+Tokens are the runs of ASCII letters and digits in the lowercased text;
+every other character separates them.  Every suffix rule needs a token
+ending in ``s`` or ``g``, so any other token is already in normal form and
+skips the rule table.
+
 A window of query tokens can only be an indexed phrase if every token in
-it occurs in some indexed phrase, so the scan of windows from one start
-stops at the first token outside the matcher's ``vocabulary``.
+it occurs in some indexed phrase, so windows start only at tokens of the
+matcher's ``vocabulary`` and a window stops growing at the first token
+outside it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from cosuggest.ontology import Ontology
 
 log = logging.getLogger(__name__)
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 # Consonants that, doubled before "-ing", collapse to one (shopping -> shop).
 _DOUBLED = {"bb", "dd", "gg", "mm", "nn", "pp", "rr", "tt"}
@@ -57,11 +63,13 @@ def normalize(text: str) -> list[str]:
     """Lowercase, strip punctuation, tokenize, and reduce plural/-ing suffixes.
 
     Deterministic and dependency-free; stands in for a full lemmatizer.
+    Only ASCII letters and digits make tokens ("Café" gives ``["caf"]``).
     Empty input yields an empty list.
     """
-    lowered = text.lower()
-    tokens = [t for t in _NON_ALNUM.split(lowered) if t]
-    return [_strip_suffix(t) for t in tokens]
+    return [
+        _strip_suffix(t) if t[-1] in "sg" else t  # no rule fits any other ending
+        for t in _TOKEN.findall(text.lower())
+    ]
 
 
 LemmaPhrases = dict[tuple[str, ...], frozenset[str]]
@@ -163,15 +171,19 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
     contributes its owning classes.  A query that matches nothing gets the
     shared empty set.
     """
-    tokens = normalize(query_text)
     index, vocabulary = matcher.index, matcher.vocabulary
+    # A token outside the vocabulary is None: no window through it is indexed.
+    words = [(t,) if t in vocabulary else None for t in normalize(query_text)]
     hits: set[str] = set()
-    n = len(tokens)
-    for start in range(n):
-        for end in range(start + 1, n + 1):
-            if tokens[end - 1] not in vocabulary:
-                break  # neither this window nor any longer one is indexed
-            ids = index.get(tuple(tokens[start:end]))
+    for start in range(len(words)):
+        if words[start] is None:
+            continue
+        window: tuple[str, ...] = ()
+        for word in words[start:]:
+            if word is None:
+                break
+            window += word
+            ids = index.get(window)
             if ids:
                 hits.update(ids)
     return frozenset(hits) if hits else _NOTHING

@@ -39,6 +39,10 @@ class Strategy(Enum):
     SLACK_SELECTIVE = "slack-selective"
     STRICT = "strict"
 
+    # Members are singletons and compare by identity, so they may hash by it:
+    # the memo key (strategy, context) then hashes in C, not in Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class SuggestionResult(NamedTuple):
     selected_clusters: tuple[int, ...]

@@ -1,14 +1,19 @@
-"""Shared fixtures: a small geographic ontology and query-log builders."""
+"""Shared fixtures: a small geographic ontology, query-log builders and a
+per-session scoring oracle."""
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from datetime import datetime, timedelta
 
 import pytest
 
+from cosuggest.copra import ConceptCluster
+from cosuggest.evaluation import SessionOutcome, _context_and_truth, _outcome
 from cosuggest.log_pipeline import QueryRecord, ReducedDataset, SearchSession
 from cosuggest.ontology import Ontology, ontology_from_dict
+from cosuggest.suggestion import Strategy, suggest
 
 CITY_ONTOLOGY = {
     "root": "thing",
@@ -133,3 +138,18 @@ def topic_dataset(
             per_query.append({rng.choice(topic)})
         data[f"u{i:04d}#1"] = per_query
     return make_dataset(data)
+
+
+def outcome_from_concept_sets(
+    concept_sets: Sequence[frozenset[str]],
+    clusters: Sequence[ConceptCluster],
+    strategy: Strategy,
+) -> SessionOutcome:
+    """Score one session on its own from its per-query concept sets.
+
+    The first query's concepts are the context.  The oracle for the fold
+    loop, which scores each distinct context once and shares the answer.
+    """
+    context, ground_truth = _context_and_truth(concept_sets)
+    suggested = suggest(clusters, context, strategy).suggested
+    return _outcome(len(concept_sets), ground_truth, suggested)

@@ -17,11 +17,7 @@ import pytest
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptCluster, CopraConfig, copra_cluster
-from cosuggest.evaluation import (
-    aggregate,
-    outcome_from_concept_sets,
-    run_experiment,
-)
+from cosuggest.evaluation import aggregate, run_experiment
 from cosuggest.log_pipeline import (
     parse_log,
     reduce_dataset,
@@ -32,7 +28,13 @@ from cosuggest.matching import ConceptMatcher
 from cosuggest.ontology import compute_metrics, load_ontology, ontology_from_dict
 from cosuggest.suggestion import Strategy, suggest
 
-from conftest import CITY_ONTOLOGY, make_dataset, make_records, write_log
+from conftest import (
+    CITY_ONTOLOGY,
+    make_dataset,
+    make_records,
+    outcome_from_concept_sets,
+    write_log,
+)
 from test_evaluation import _hand_fixture
 from test_ontology import _brute_force_metrics, _random_ontology
 

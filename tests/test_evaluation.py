@@ -14,13 +14,12 @@ from cosuggest.evaluation import (
     copra_config,
     f1_by_length,
     make_folds,
-    outcome_from_concept_sets,
     run_experiment_on_dataset,
     summarize_folds,
 )
 from cosuggest.suggestion import Strategy, suggest
 
-from conftest import make_dataset, topic_dataset
+from conftest import make_dataset, outcome_from_concept_sets, topic_dataset
 
 
 def _outcome(length, gt, suggested):

@@ -1,11 +1,13 @@
 import logging
 import random
+import re
 
 import pytest
 
 from cosuggest.matching import (
     _NOTHING,
     ConceptMatcher,
+    _strip_suffix,
     build_lemma_index,
     match_query,
     normalize,
@@ -40,6 +42,52 @@ def test_normalize_stable_on_normal_form():
         word = stem + "".join(rng.choices(suffixes, k=rng.randint(1, 3)))
         once = normalize(word)
         assert normalize(" ".join(once)) == once, word
+
+
+def _normalize_slow(text: str) -> list[str]:
+    """Every token through the whole suffix table: the oracle for ``normalize``."""
+    return [_strip_suffix(t) for t in re.split(r"[^a-z0-9]+", text.lower()) if t]
+
+
+def test_normalize_matches_the_full_suffix_table():
+    # ``normalize`` sends only tokens ending in "s" or "g" through the table.
+    inflected = [
+        "libraries", "cities", "churches", "beaches", "bushes", "classes", "boxes",
+        "buzzes", "glass", "glasses", "bus", "buses", "parks", "gas", "yes", "this",
+        "shopping", "running", "parking", "buildings", "swimming", "sitting", "sing",
+        "king", "kings", "ring", "ings", "ing", "s", "g", "ss", "gs", "sings",
+    ]
+    other = ["park", "museum", "cafe", "pizza", "library", "beach", "route66", "a1", "x", "2024"]
+    non_ascii = [
+        "Café", "straße", "İstanbul", "\uff11\uff12", "\u212aings", "PAR\u212aS", "naïve",
+        "Œuvres", "ＰＡＲＫＳ",
+    ]
+    separators = [" ", "  ", "!!", "_", "-", "...", "\t", "\n", "—", "'", "/"]
+    rng = random.Random(31)
+    texts = ["", " ", "!!", "_s_", "-g-", "Café straße", "İstanbul", "\uff11\uff12\uff13",
+             "\u212a", "\u212aings", "SHOPPING Malls!", "  parks, gardens & beaches  "]
+    for _ in range(3000):
+        words = []
+        for _ in range(rng.randint(0, 6)):
+            pool = rng.choice((inflected, other, non_ascii))
+            word = rng.choice(pool)
+            if rng.random() < 0.3:
+                word = word.upper() if rng.random() < 0.5 else word.title()
+            words.append(word)
+        text = "".join(w + rng.choice(separators) for w in words)
+        if rng.random() < 0.5:
+            text = rng.choice(separators) + text
+        texts.append(text if rng.random() < 0.5 else text.rstrip())
+    ends = dict.fromkeys(("s", "g", "digit", "other"), 0)
+    for text in texts:
+        assert normalize(text) == _normalize_slow(text), repr(text)
+        for token in re.findall(r"[a-z0-9]+", text.lower()):
+            last = token[-1]
+            ends["digit" if last.isdigit() else last if last in "sg" else "other"] += 1
+    assert normalize("Café") == ["caf"]
+    assert normalize("\u212aings") == ["king"]  # the Kelvin sign lowercases to "k"
+    assert normalize("\uff11\uff12") == []  # fullwidth digits are not ASCII
+    assert all(count >= 500 for count in ends.values()), ends
 
 
 @pytest.mark.parametrize(
@@ -171,18 +219,22 @@ def test_every_empty_match_is_the_shared_set(city_ontology):
     cases = [
         (
             ConceptMatcher.from_ontology(city_ontology),
-            ["park", "public", "garden", "shopping", "mall", "pizza", "the", "!!", ""],
+            ["park", "public", "garden", "shopping", "mall", "pizza", "the", "!!", "",
+             "parks", "gardens", "malls", "parking", "publics", "shops", "beaches", "is"],
             ["", "   ", "?!", "quantum entanglement", "public mall", "garden public",
-             "public the garden", "the public garden pizza", "mall shopping"],
+             "public the garden", "the public garden pizza", "mall shopping",
+             "public gardens", "shopping malls", "shops malls", "parking gardens"],
         ),
         (
             direct,
-            ["old", "town", "hall", "park", "new", "the"],
-            ["old town hall", "old the town hall", "hall town old", "new town hall park", "old hall"],
+            ["old", "town", "hall", "park", "new", "the",
+             "olds", "towns", "halls", "parks", "parking", "news", "thing"],
+            ["old town hall", "old the town hall", "hall town old", "new town hall park",
+             "old hall", "olds towns halls", "old town halls parking", "news towns", "hall parking"],
         ),
     ]
     rng = random.Random(5)
-    seen = dict.fromkeys(("empty", "gap", "edge", "wrong_order"), 0)
+    seen = dict.fromkeys(("empty", "gap", "edge", "wrong_order", "stemmed"), 0)
     total = 0
     for matcher, vocabulary, queries in cases:
         known = {t for phrase in matcher.index for t in phrase}
@@ -204,6 +256,9 @@ def test_every_empty_match_is_the_shared_set(city_ontology):
             # ending on one; indexed neighbours that form no phrase in this order.
             seen["gap"] += any(indexed[i - 1] > indexed[i] < indexed[i + 1] for i in range(1, n - 1))
             seen["edge"] += any(indexed) and not (indexed[0] and indexed[-1])
+            # An indexed token that the suffix table made out of an "-s" or "-ing" form.
+            raw = re.findall(r"[a-z0-9]+", text.lower())
+            seen["stemmed"] += any(r != t and k for r, t, k in zip(raw, tokens, indexed))
             seen["wrong_order"] += any(
                 indexed[i] and indexed[i + 1] and tuple(tokens[i : i + 2]) not in pairs
                 for i in range(n - 1)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import chain, combinations
 
@@ -221,6 +223,31 @@ def test_each_cluster_collection_keeps_its_own_answers():
         assert len(clusters.answers) == len(contexts) * len(Strategy)
     assert suggest(without_3, {"c9"}, Strategy.SLACK).suggested == frozenset()
     assert suggest(whole, {"c9"}, Strategy.SLACK).suggested == frozenset({"c5", "c8"})
+
+
+def test_strategy_members_are_stable_memo_keys():
+    # Members hash by identity; every way of getting a member back must give
+    # the same object, or a memo keyed by it would miss.
+    clusters = ConceptClusters(WORKED_CLUSTERS)
+    table = {strategy: strategy.value for strategy in Strategy}
+    for strategy in Strategy:
+        for same in (
+            Strategy(strategy.value),
+            Strategy[strategy.name],
+            pickle.loads(pickle.dumps(strategy)),
+            copy.copy(strategy),
+            copy.deepcopy(strategy),
+        ):
+            assert same is strategy
+            assert hash(same) == hash(strategy)
+            assert table[same] == strategy.value
+        first = suggest(clusters, WORKED_CONTEXT, strategy)
+        assert suggest(clusters, WORKED_CONTEXT, Strategy(strategy.value)) is first
+    assert copy.deepcopy(table) == table
+    assert suggest(clusters, WORKED_CONTEXT, Strategy("slack")) is clusters.answers[
+        (Strategy.SLACK, WORKED_CONTEXT)
+    ]
+    assert len(clusters.answers) == len(Strategy)
 
 
 def test_cluster_producers_return_an_index_that_matches_the_members(tmp_path):
