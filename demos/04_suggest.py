@@ -12,6 +12,7 @@ from pathlib import Path
 
 from cosuggest import (
     ConceptCluster,
+    ConceptClusters,
     ConceptMatcher,
     CopraConfig,
     Strategy,
@@ -32,11 +33,13 @@ DATA = Path(__file__).parent / "data"
 
 
 def textbook_case():
-    clusters = [
-        ConceptCluster(1, frozenset({"c1", "c3", "c7"})),
-        ConceptCluster(2, frozenset({"c2", "c3", "c5", "c8"})),
-        ConceptCluster(3, frozenset({"c5", "c8", "c9"})),
-    ]
+    clusters = ConceptClusters(
+        [
+            ConceptCluster(1, frozenset({"c1", "c3", "c7"})),
+            ConceptCluster(2, frozenset({"c2", "c3", "c5", "c8"})),
+            ConceptCluster(3, frozenset({"c5", "c8", "c9"})),
+        ]
+    )
     context = frozenset({"c1", "c3"})
     print(f"Textbook case, context {sorted(context)}:")
     for strategy in Strategy:

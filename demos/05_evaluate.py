@@ -43,8 +43,8 @@ def main():
         )
 
     print("\nMean F1 by session length (slack):")
-    for length, mean_f1, n in report.strategies["slack"].f1_by_length:
-        print(f"  length {length}: {mean_f1:.3f}  (n={n})")
+    for row in report.strategies["slack"].f1_by_length:
+        print(f"  length {row.length}: {row.mean_f1:.3f}  (n={row.n})")
 
 
 if __name__ == "__main__":

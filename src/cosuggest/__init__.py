@@ -17,8 +17,6 @@ from cosuggest.ontology import (
     compute_metrics,
     load_ontology,
     ontology_from_dict,
-    ontology_to_dict,
-    save_ontology,
     subset_by_facet,
 )
 from cosuggest.matching import (
@@ -114,7 +112,6 @@ __all__ = [
     "match_query",
     "normalize",
     "ontology_from_dict",
-    "ontology_to_dict",
     "parse_log",
     "prune",
     "read_clusters_json",
@@ -123,7 +120,6 @@ __all__ = [
     "reduce_dataset",
     "run_experiment",
     "run_experiment_on_dataset",
-    "save_ontology",
     "session_length_stats",
     "split_sessions",
     "subset_by_facet",

@@ -19,7 +19,14 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from cosuggest.config import FIELD_NAMES, PipelineConfig, provenance, resolve_config
+from cosuggest.config import (
+    FIELD_NAMES,
+    PRECISION_POLICIES,
+    REPORT_FORMATS,
+    PipelineConfig,
+    provenance,
+    resolve_config,
+)
 from cosuggest.cooccurrence import build_graph, prune, read_graph_tsv, write_graph_tsv
 from cosuggest.copra import cluster_stats, copra_cluster, read_clusters_json, write_clusters_json
 from cosuggest.evaluation import (
@@ -77,8 +84,7 @@ def _write_sidecar(path: Path, config: PipelineConfig, stage: str) -> None:
     )
 
 
-def cmd_ont_metrics(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_ont_metrics(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not config.ontology_path:
         raise UsageError("ont-metrics requires --ontology")
     ont = load_ontology(config.ontology_path)
@@ -111,8 +117,7 @@ def cmd_ont_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_reduce(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not config.log_path or not config.ontology_path:
         raise UsageError("reduce requires --log and --ontology")
     if not config.out:
@@ -129,8 +134,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.reduced:
         raise UsageError("graph requires --reduced")
     if not config.out:
@@ -144,8 +148,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.graph:
         raise UsageError("cluster requires --graph")
     if not config.out:
@@ -167,8 +170,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.reduced:
         ds = read_reduced_ndjson(args.reduced)
     elif config.log_path and config.ontology_path:
@@ -183,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = run_experiment_on_dataset(ds, config, strategies)
 
     if config.format == "json":
-        payload = {**report.to_dict(), "provenance": provenance(config, "eval")}
+        payload = {**asdict(report), "provenance": provenance(config, "eval")}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = report_csv(report)
@@ -203,8 +205,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_suggest(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def cmd_suggest(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not config.ontology_path:
         raise UsageError("suggest requires --ontology")
     if not args.clusters:
@@ -303,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--empty-suggestion-precision",
-        choices=("exclude", "zero", "one"),
+        choices=PRECISION_POLICIES,
         default=None,
         dest="empty_suggestion_precision",
     )
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=REPORT_FORMATS, default=None)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("suggest", help="one-shot suggestions for a query")
@@ -328,11 +329,8 @@ def main(argv: list[str] | None = None) -> int:
     if stage in BATCH_COMMANDS:
         gc.disable()
     try:
-        return args.handler(args)
-    except UsageError as exc:
-        print(f"{stage}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args, _config_from_args(args))
+    except (UsageError, OSError) as exc:
         print(f"{stage}: {exc}", file=sys.stderr)
         return 2
     except (OntologyError, ValueError) as exc:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ENV_PREFIX = "COSUGGEST_"
+PRECISION_POLICIES = ("exclude", "zero", "one")
+REPORT_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,11 @@ class PipelineConfig:
             raise ValueError("copra_max_iterations must be >= 1")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
-        if self.empty_suggestion_precision not in ("exclude", "zero", "one"):
-            raise ValueError("empty_suggestion_precision must be exclude, zero or one")
+        if self.format not in REPORT_FORMATS:
+            raise ValueError(f"format must be one of {', '.join(REPORT_FORMATS)}")
+        if self.empty_suggestion_precision not in PRECISION_POLICIES:
+            policies = ", ".join(PRECISION_POLICIES)
+            raise ValueError(f"empty_suggestion_precision must be one of {policies}")
 
     def pipeline_dict(self) -> dict:
         """Algorithm parameters only: what determines output given the data.

@@ -109,11 +109,11 @@ def copra_cluster(
     each synchronous step, before the termination check; the state must be
     treated as read-only.  Raises ``ValueError`` on an empty graph.
     """
-    if not g.nodes:
+    adjacency = g.adjacency()
+    if not adjacency:
         raise ValueError("empty graph: nothing to cluster")
 
-    vertices = sorted(g.nodes)
-    adjacency = g.adjacency()
+    vertices = sorted(adjacency)
     self_weight = {
         v: float(max((w for _, w in adjacency[v]), default=1)) for v in vertices
     }

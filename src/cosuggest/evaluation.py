@@ -27,8 +27,8 @@ recall; because the macro/micro choice is debatable, the mean of
 per-session F1 values is reported alongside as ``f1_session_mean``.
 Richness counts the suggested concepts the user actually explored (hits).
 
-The report's dataclasses are its schema: the JSON report is their
-``asdict`` and the CSV columns are their fields.
+The report's dataclasses are its schema: the JSON report is the ``asdict``
+of an :class:`EvaluationReport` and the CSV columns are their fields.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ import csv
 import io
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import timedelta
 from statistics import fmean
 from typing import NamedTuple
 
-from cosuggest.config import PipelineConfig
+from cosuggest.config import PRECISION_POLICIES, PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptClusters, CopraConfig, copra_cluster
 from cosuggest.log_pipeline import (
@@ -146,7 +146,7 @@ def aggregate(
     ``empty_suggestion_precision="zero"`` or ``"one"`` to score them instead.
     Raises when no session is scorable.
     """
-    if empty_suggestion_precision not in ("exclude", "zero", "one"):
+    if empty_suggestion_precision not in PRECISION_POLICIES:
         raise ValueError(f"unknown precision policy {empty_suggestion_precision!r}")
     scored = [o for o in outcomes if o.ground_truth]
     if not scored:
@@ -180,7 +180,8 @@ def aggregate(
     )
 
 
-class LengthF1(NamedTuple):
+@dataclass(frozen=True)
+class LengthF1:
     length: int
     mean_f1: float
     n: int
@@ -238,9 +239,6 @@ class StrategyReport:
     summary: StrategySummary
     f1_by_length: list[LengthF1]
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "f1_by_length": [row._asdict() for row in self.f1_by_length]}
-
 
 @dataclass
 class EvaluationReport:
@@ -248,10 +246,6 @@ class EvaluationReport:
     dataset_stats: dict
     fold_count: int
     strategies: dict[str, StrategyReport]
-
-    def to_dict(self) -> dict:
-        strategies = {name: report.to_dict() for name, report in self.strategies.items()}
-        return {**asdict(self), "strategies": strategies}
 
 
 _METRIC_COLUMNS = [f.name for f in fields(Metrics)]
@@ -277,8 +271,8 @@ def report_csv(report: EvaluationReport) -> str:
 def f1_by_length_csv(rows: list[LengthF1]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(LengthF1._fields)
-    writer.writerows(rows)
+    writer.writerow([f.name for f in fields(LengthF1)])
+    writer.writerows(astuple(row) for row in rows)
     return buffer.getvalue()
 
 

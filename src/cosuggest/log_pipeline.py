@@ -15,6 +15,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 from pathlib import Path
 from statistics import fmean, median_low, pstdev
 
@@ -108,7 +109,7 @@ def parse_log(path: str | Path) -> ParseResult:
         first = handle.readline()
         if first and first.rstrip("\r\n").split("\t", 1)[0] != LOG_HEADER[0]:
             # Header missing: treat the first line as data.
-            handle = _chain_line(first, handle)
+            handle = chain((first,), handle)
         for line in handle:
             line = line.rstrip("\r\n")
             if not line:
@@ -132,11 +133,6 @@ def parse_log(path: str | Path) -> ParseResult:
     if skipped:
         log.info("parse_log: skipped %d malformed rows", skipped)
     return ParseResult(records=records, skipped=skipped)
-
-
-def _chain_line(first: str, handle):
-    yield first
-    yield from handle
 
 
 def split_sessions(records: list[QueryRecord], gap: timedelta) -> list[SearchSession]:

@@ -130,12 +130,16 @@ def ontology_from_dict(payload: object) -> Ontology:
         facet = raw.get("facet")
         if facet is not None and not isinstance(facet, str):
             raise OntologyError(f"class {cid!r}: 'facet' must be a string or null")
-        annotations = tuple(
-            _parse_annotation(a, cid) for a in raw.get("annotations", [])
-        )
+        label = raw.get("label", cid)
+        if not isinstance(label, str):
+            raise OntologyError(f"class {cid!r}: 'label' must be a string")
+        raw_annotations = raw.get("annotations", [])
+        if not isinstance(raw_annotations, list):
+            raise OntologyError(f"class {cid!r}: 'annotations' must be a list")
+        annotations = tuple(_parse_annotation(a, cid) for a in raw_annotations)
         classes[cid] = OntClass(
             id=cid,
-            label=raw.get("label", cid),
+            label=label,
             parent_ids=frozenset(parents),
             annotations=annotations,
             facet_tag=facet,
@@ -187,33 +191,6 @@ def load_ontology(path: str | Path) -> Ontology:
     except json.JSONDecodeError as exc:
         raise OntologyError(f"cannot parse ontology file {path}: {exc}") from exc
     return ontology_from_dict(payload)
-
-
-def ontology_to_dict(ont: Ontology) -> dict:
-    """Serialize to the JSON schema; classes sorted by id for stable output."""
-    return {
-        "root": ont.root_id,
-        "classes": [
-            {
-                "id": cls.id,
-                "label": cls.label,
-                "parents": sorted(cls.parent_ids),
-                "facet": cls.facet_tag,
-                "annotations": [
-                    {"surface": a.surface, "lemmas": list(a.lemmas)}
-                    for a in cls.annotations
-                ],
-            }
-            for cls in sorted(ont.classes.values(), key=lambda c: c.id)
-        ],
-    }
-
-
-def save_ontology(ont: Ontology, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(ontology_to_dict(ont), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -> Ontology:

@@ -15,10 +15,11 @@ context.  Already-observed concepts are never suggested.
   context this coincides with SLACK; with larger contexts it is the most
   conservative of the three.)
 
-Each strategy reads the clusters that share concepts with the context, and
-how many, from the collection's concept -> clusters index
-(:class:`~cosuggest.copra.ConceptClusters`), so a call costs in proportion
-to the clusters the context touches, not to all clusters.  The collection
+The clusters come as a :class:`~cosuggest.copra.ConceptClusters` (wrap a
+plain list with ``ConceptClusters(clusters)``).  Each strategy reads the
+clusters that share concepts with the context, and how many, from the
+collection's concept -> clusters index, so a call costs in proportion to
+the clusters the context touches, not to all clusters.  The collection
 also keeps every answer given (``ConceptClusters.answers``): a context
 asked again under the same strategy gets the stored result, the same
 object, without recomputation.  Results are immutable, so sharing them is
@@ -27,11 +28,10 @@ safe.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from cosuggest.copra import ConceptCluster, ConceptClusters
+from cosuggest.copra import ConceptClusters
 
 
 class Strategy(Enum):
@@ -55,23 +55,18 @@ _NOTHING: frozenset[str] = frozenset()
 
 
 def suggest(
-    clusters: Sequence[ConceptCluster],
+    clusters: ConceptClusters,
     context: frozenset[str] | set[str],
     strategy: Strategy,
 ) -> SuggestionResult:
     """Select clusters matching the context and suggest their unseen members.
 
     Pure function: identical inputs yield equal outputs.  An empty context,
-    or a context no cluster intersects, yields no suggestions.  ``clusters``
-    may be any sequence; a :class:`ConceptClusters` brings its concept ->
-    clusters index and its memo of answers, so asking it the same context
-    (as a ``set`` or a ``frozenset``) under the same strategy again returns
-    the same result object.  Any other sequence is indexed for this call
-    only and keeps no memo.
+    or a context no cluster intersects, yields no suggestions.  Asking the
+    same ``clusters`` the same context (as a ``set`` or a ``frozenset``)
+    under the same strategy again returns the same result object.
     """
     context = frozenset(context)
-    if not isinstance(clusters, ConceptClusters):
-        clusters = ConceptClusters(clusters)
     answers = clusters.answers
     key = (strategy, context)
     result = answers.get(key)

@@ -9,7 +9,7 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from cosuggest.copra import ConceptCluster
+from cosuggest.copra import ConceptClusters
 from cosuggest.evaluation import SessionOutcome, _context_and_truth, _outcome
 from cosuggest.log_pipeline import QueryRecord, ReducedDataset, SearchSession
 from cosuggest.ontology import Ontology, ontology_from_dict
@@ -142,7 +142,7 @@ def topic_dataset(
 
 def outcome_from_concept_sets(
     concept_sets: Sequence[frozenset[str]],
-    clusters: Sequence[ConceptCluster],
+    clusters: ConceptClusters,
     strategy: Strategy,
 ) -> SessionOutcome:
     """Score one session on its own from its per-query concept sets.

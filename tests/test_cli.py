@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 
 import cosuggest.cli
 import cosuggest.evaluation
-from cosuggest.cli import main
+from cosuggest.cli import build_parser, main
 from cosuggest.config import (
     PipelineConfig,
     config_hash,
@@ -133,6 +134,62 @@ def test_threads_setting_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+# ------------------------------------------------------------- CLI surface
+
+COMMON = ["-h", "--help", "--config", "--seed"]
+ONTOLOGY = ["--ontology", "--exclude-facet", "--lexicon"]
+# Per subcommand: every option string it accepts, and the choices of each
+# option that has them.  Written out so that no refactor drops or renames one.
+CLI_SURFACE = {
+    "ont-metrics": (
+        [*COMMON, *ONTOLOGY, "--format"],
+        {"--format": ["text", "json"]},
+    ),
+    "reduce": (
+        [*COMMON, *ONTOLOGY, "--log", "--gap-minutes", "--out"],
+        {},
+    ),
+    "graph": (
+        [*COMMON, "--reduced", "--prune-min-weight", "--out"],
+        {},
+    ),
+    "cluster": (
+        [*COMMON, "--graph", "--copra-v", "--copra-max-iter", "--out"],
+        {},
+    ),
+    "eval": (
+        [
+            *COMMON, *ONTOLOGY, "--log", "--reduced", "--gap-minutes", "--prune-min-weight",
+            "--copra-v", "--copra-max-iter", "--folds", "--strategy",
+            "--empty-suggestion-precision", "--out", "--format",
+        ],
+        {
+            "--strategy": ["slack", "slack-selective", "strict", "all"],
+            "--empty-suggestion-precision": ["exclude", "zero", "one"],
+            "--format": ["json", "csv"],
+        },
+    ),
+    "suggest": (
+        [*COMMON, *ONTOLOGY, "--clusters", "--query"],
+        {},
+    ),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(CLI_SURFACE)
+    for name, sub in commands.choices.items():
+        options, choices = CLI_SURFACE[name]
+        assert [o for action in sub._actions for o in action.option_strings] == options, name
+        assert {
+            action.option_strings[-1]: list(action.choices)
+            for action in sub._actions
+            if action.choices is not None
+        } == choices, name
+
+
 # ------------------------------------------------------------- ont-metrics
 
 def test_ont_metrics_text(ontology_file, capsys):
@@ -166,6 +223,30 @@ def test_invalid_ontology_exit_1(tmp_path, capsys):
     ]}))
     assert main(["ont-metrics", "--ontology", str(bad)]) == 1
     assert "ghost" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, command",
+    [
+        ("label", 5, "reduce"),
+        ("annotations", 7, "reduce"),
+        ("annotations", 7, "ont-metrics"),
+        ("annotations", None, "ont-metrics"),
+    ],
+)
+def test_mistyped_ontology_field_exits_1(tmp_path, log_file, capsys, field, value, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"root": "r", "classes": [
+        {"id": "r", "label": "r", "parents": []},
+        {"id": "a", "label": "a", "parents": ["r"], field: value},
+    ]}))
+    argv = [command, "--ontology", str(bad)]
+    if command == "reduce":
+        argv += ["--log", str(log_file), "--out", str(tmp_path / "reduced.ndjson")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"class 'a': '{field}' must be a" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ stages
@@ -484,7 +565,8 @@ GOOD_SESSION = (
             '{"park": ["green space"],}\n',
             ["suggest", "--ontology", "{ontology}", "--query", "park",
              "--clusters", "{tmp}/clusters.json", "--lexicon"],
-            ": Expecting property name",
+            # CPython words the JSON error, and places its column, per version.
+            ("cannot parse lexicon file {path}: ", ": line 1 column "),
         ),
         (
             "lexicon_entry.json",
@@ -523,7 +605,9 @@ def test_malformed_artifact_exits_1_with_location(
     argv = [a.format(tmp=tmp_path, ontology=ontology_file) for a in argv] + [str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"{path}{where}" in err
+    # A string follows the path; a tuple lists parts of the message around it.
+    for part in where if isinstance(where, tuple) else ("{path}" + where,):
+        assert part.format(path=path) in err
     assert "Traceback" not in err
 
 
@@ -596,7 +680,7 @@ def test_main_leaves_a_disabled_gc_disabled(gc_state, tmp_path, capsys):
 def test_only_batch_handlers_run_with_gc_paused(gc_state, monkeypatch, handler, argv, collects):
     seen = []
 
-    def spy(args):
+    def spy(args, config):
         seen.append(gc.isenabled())
         return 0
 

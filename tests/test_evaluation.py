@@ -1,14 +1,16 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
 import cosuggest.evaluation
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import build_graph, prune
-from cosuggest.copra import ConceptCluster, copra_cluster
+from cosuggest.copra import ConceptCluster, ConceptClusters, copra_cluster
 from cosuggest.evaluation import (
     _context_and_truth,
+    LengthF1,
     _run_fold,
     aggregate,
     copra_config,
@@ -84,7 +86,7 @@ def test_fold_partition_property():
 # ------------------------------------------------- outcome_from_concept_sets
 
 def test_outcome_hits_arithmetic():
-    clusters = [ConceptCluster(0, frozenset({"c1", "c2", "c4"}))]
+    clusters = ConceptClusters([ConceptCluster(0, frozenset({"c1", "c2", "c4"}))])
     concept_sets = [frozenset({"c1"}), frozenset({"c2", "c3"})]
     outcome = outcome_from_concept_sets(concept_sets, clusters, Strategy.SLACK)
     assert _context_and_truth(concept_sets)[0] == frozenset({"c1"})
@@ -95,14 +97,14 @@ def test_outcome_hits_arithmetic():
 
 def test_outcome_empty_ground_truth_when_remainder_seen():
     outcome = outcome_from_concept_sets(
-        [frozenset({"c1", "c2"}), frozenset({"c1"})], [], Strategy.SLACK
+        [frozenset({"c1", "c2"}), frozenset({"c1"})], ConceptClusters(), Strategy.SLACK
     )
     assert outcome.ground_truth == frozenset()
 
 
 def test_outcome_no_suggestions_no_hits():
     outcome = outcome_from_concept_sets(
-        [frozenset({"c1"}), frozenset({"c2"})], [], Strategy.SLACK
+        [frozenset({"c1"}), frozenset({"c2"})], ConceptClusters(), Strategy.SLACK
     )
     assert outcome.suggested == frozenset()
     assert outcome.hits == 0
@@ -110,7 +112,7 @@ def test_outcome_no_suggestions_no_hits():
 
 def test_outcome_requires_two_queries():
     with pytest.raises(ValueError):
-        outcome_from_concept_sets([frozenset({"c1"})], [], Strategy.SLACK)
+        outcome_from_concept_sets([frozenset({"c1"})], ConceptClusters(), Strategy.SLACK)
 
 
 # -------------------------------------------------------------- aggregate
@@ -209,7 +211,7 @@ def test_summarize_requires_scored_fold():
 
 def test_f1_by_length_single_row():
     outcomes = [_outcome(2, {"g"}, {"g"}) for _ in range(3)]
-    assert f1_by_length(outcomes) == [(2, 1.0, 3)]
+    assert f1_by_length(outcomes) == [LengthF1(2, 1.0, 3)]
 
 
 def test_f1_by_length_grouped_means():
@@ -219,9 +221,9 @@ def test_f1_by_length_grouped_means():
         _outcome(3, {"g1", "g2"}, {"g1"}),  # p=1, r=0.5 -> f1 = 2/3
     ]
     rows = f1_by_length(outcomes)
-    assert rows[0] == (2, 0.5, 2)
-    assert rows[1][0] == 3 and rows[1][2] == 1
-    assert rows[1][1] == pytest.approx(2 / 3)
+    assert rows[0] == LengthF1(2, 0.5, 2)
+    assert rows[1].length == 3 and rows[1].n == 1
+    assert rows[1].mean_f1 == pytest.approx(2 / 3)
 
 
 def test_f1_by_length_empty():
@@ -268,7 +270,7 @@ def test_experiment_report_deterministic_including_threads():
     blobs = []
     for _ in range(3):
         report = run_experiment_on_dataset(ds, _config())
-        blobs.append(json.dumps(report.to_dict(), sort_keys=True))
+        blobs.append(json.dumps(asdict(report), sort_keys=True))
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -278,8 +280,9 @@ def test_experiment_report_shape():
     assert report.fold_count == 2
     for strategy_report in report.strategies.values():
         assert len(strategy_report.folds) == 2
-        payload = strategy_report.to_dict()
+        payload = asdict(strategy_report)
         assert set(payload) == {"folds", "summary", "f1_by_length"}
+        assert all(set(row) == {"length", "mean_f1", "n"} for row in payload["f1_by_length"])
         for key in (
             "richness_min",
             "richness_max",

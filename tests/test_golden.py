@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stdout
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -119,7 +120,7 @@ def test_demo_stdout_bytes_are_pinned(artifacts, name):
 def mid_size_report_text() -> str:
     config = PipelineConfig(prune_min_weight=2)
     report = run_experiment_on_dataset(topic_dataset(2024, 2000), config)
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_mid_size_report_bytes_are_pinned():

@@ -9,8 +9,6 @@ from cosuggest.ontology import (
     compute_metrics,
     load_ontology,
     ontology_from_dict,
-    ontology_to_dict,
-    save_ontology,
     subset_by_facet,
     validate_ontology,
 )
@@ -103,10 +101,24 @@ def test_parse_error(tmp_path):
         load_ontology(path)
 
 
-def test_roundtrip(city_ontology, tmp_path):
-    path = tmp_path / "city.json"
-    save_ontology(city_ontology, path)
-    assert load_ontology(path) == city_ontology
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("label", 5, "class 'A': 'label' must be a string"),
+        ("label", None, "class 'A': 'label' must be a string"),
+        ("annotations", 7, "class 'A': 'annotations' must be a list"),
+        ("annotations", None, "class 'A': 'annotations' must be a list"),
+    ],
+)
+def test_mistyped_label_or_annotations_rejected(field, value, message):
+    with pytest.raises(OntologyError, match=message):
+        _ont([_cls("root", []), {**_cls("A", ["root"]), field: value}])
+
+
+def test_missing_label_defaults_to_the_id():
+    raw = _cls("A", ["root"])
+    del raw["label"]
+    assert _ont([_cls("root", []), raw]).classes["A"].label == "A"
 
 
 def test_subset_empty_exclusion_is_identity(city_ontology):
@@ -200,10 +212,3 @@ def test_subset_result_is_always_valid():
         subset = subset_by_facet(ont, {"administrative", "artificial"})
         validate_ontology(subset)  # must not raise
         assert subset.root_id == ont.root_id
-
-
-def test_roundtrip_random_ontologies(tmp_path):
-    for seed in range(10):
-        ont = _random_ontology(random.Random(3000 + seed), max_classes=20)
-        blob = json.dumps(ontology_to_dict(ont))
-        assert ontology_from_dict(json.loads(blob)) == ont

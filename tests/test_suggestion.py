@@ -25,38 +25,39 @@ WORKED_CONTEXT = frozenset({"c1", "c3"})
 
 
 def test_slack_worked_example():
-    result = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.SLACK)
+    result = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.SLACK)
     assert result.suggested == frozenset({"c2", "c5", "c7", "c8"})
     assert result.selected_clusters == (1, 2)
 
 
 def test_slack_selective_worked_example():
-    result = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.SLACK_SELECTIVE)
+    result = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.SLACK_SELECTIVE)
     assert result.suggested == frozenset({"c7"})
     assert result.selected_clusters == (1,)
 
 
 def test_strict_worked_example():
-    result = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.STRICT)
+    result = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.STRICT)
     assert result.suggested == frozenset()
     assert result.selected_clusters == ()
 
 
 def test_empty_context_suggests_nothing():
     for strategy in Strategy:
-        result = suggest(WORKED_CLUSTERS, frozenset(), strategy)
+        result = suggest(ConceptClusters(WORKED_CLUSTERS), frozenset(), strategy)
         assert result.suggested == frozenset()
         assert result.selected_clusters == ()
 
 
 def test_no_intersecting_cluster_suggests_nothing():
     for strategy in Strategy:
-        assert suggest(WORKED_CLUSTERS, frozenset({"zz"}), strategy).suggested == frozenset()
+        result = suggest(ConceptClusters(WORKED_CLUSTERS), frozenset({"zz"}), strategy)
+        assert result.suggested == frozenset()
 
 
 def test_strict_unanimous_containment_fires():
     # Only cluster 3 touches c9 and it contains the whole context.
-    result = suggest(WORKED_CLUSTERS, frozenset({"c9"}), Strategy.STRICT)
+    result = suggest(ConceptClusters(WORKED_CLUSTERS), frozenset({"c9"}), Strategy.STRICT)
     assert result.suggested == frozenset({"c5", "c8"})
     assert result.selected_clusters == (3,)
 
@@ -64,29 +65,28 @@ def test_strict_unanimous_containment_fires():
 def test_strict_equals_slack_on_singleton_contexts():
     for concept in ("c1", "c2", "c5", "c7", "c9"):
         context = frozenset({concept})
-        slack = suggest(WORKED_CLUSTERS, context, Strategy.SLACK)
-        strict = suggest(WORKED_CLUSTERS, context, Strategy.STRICT)
+        slack = suggest(ConceptClusters(WORKED_CLUSTERS), context, Strategy.SLACK)
+        strict = suggest(ConceptClusters(WORKED_CLUSTERS), context, Strategy.STRICT)
         assert strict.suggested == slack.suggested
 
 
 def test_selective_tie_breaks_on_smallest_cluster_id():
-    clusters = [
-        ConceptCluster(4, frozenset({"x", "p"})),
-        ConceptCluster(2, frozenset({"x", "q"})),
-    ]
+    clusters = ConceptClusters(
+        [ConceptCluster(4, frozenset({"x", "p"})), ConceptCluster(2, frozenset({"x", "q"}))]
+    )
     result = suggest(clusters, frozenset({"x"}), Strategy.SLACK_SELECTIVE)
     assert result.selected_clusters == (2,)
     assert result.suggested == frozenset({"q"})
 
 
 def test_suggest_is_pure():
-    first = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.SLACK)
-    second = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.SLACK)
+    first = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.SLACK)
+    second = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.SLACK)
     assert first == second
 
 
 def test_result_invariants_hold():
-    result = suggest(WORKED_CLUSTERS, WORKED_CONTEXT, Strategy.SLACK)
+    result = suggest(ConceptClusters(WORKED_CLUSTERS), WORKED_CONTEXT, Strategy.SLACK)
     assert isinstance(result, SuggestionResult)
     union = frozenset(
         chain.from_iterable(
@@ -99,10 +99,10 @@ def test_result_invariants_hold():
 
 def _random_instance(rng: random.Random):
     universe = [f"c{i}" for i in range(12)]
-    clusters = [
+    clusters = ConceptClusters(
         ConceptCluster(i, frozenset(rng.sample(universe, rng.randint(1, 6))))
         for i in range(rng.randint(1, 8))
-    ]
+    )
     context = frozenset(rng.sample(universe, rng.randint(0, 4)))
     return clusters, context
 
@@ -132,7 +132,7 @@ def test_strict_rule_brute_force_over_small_contexts():
     ]
     for context in contexts:
         touching = [c for c in WORKED_CLUSTERS if c.members & context]
-        strict = suggest(WORKED_CLUSTERS, context, Strategy.STRICT)
+        strict = suggest(ConceptClusters(WORKED_CLUSTERS), context, Strategy.STRICT)
         if touching and all(context <= c.members for c in touching):
             assert strict.selected_clusters == tuple(sorted(c.id for c in touching))
         else:
@@ -193,15 +193,11 @@ def test_index_matches_full_scan_on_random_cluster_sets():
         assert indexed == tuple(clusters)
         assert indexed.postings == _postings_of(clusters)
         for strategy in Strategy:
-            want = _scan(clusters, context, strategy)
-            for form in (clusters, indexed):
-                result = suggest(form, context, strategy)
-                assert result == want
-                assert not result.suggested & context
-                # Asked again: the collection's memo hands back the stored
-                # object; a plain list is indexed anew and keeps no memo.
-                again = suggest(form, context, strategy)
-                assert again is result if form is indexed else again == result
+            result = suggest(indexed, context, strategy)
+            assert result == _scan(clusters, context, strategy)
+            assert not result.suggested & context
+            # Asked again: the collection's memo hands back the stored object.
+            assert suggest(indexed, context, strategy) is result
     assert all(count >= 50 for count in seen.values()), seen
 
 
