@@ -54,6 +54,16 @@ class CooccurrenceGraph:
             lst.sort()
         return adj
 
+    def __add__(self, other: "CooccurrenceGraph") -> "CooccurrenceGraph":
+        """Weights of ``self`` plus those of ``other``, e.g. two disjoint sets of sessions.
+
+        The sum of the graphs of disjoint session sets is the graph of their union.
+        """
+        edges = dict(self.edges)
+        for pair, w in other.edges.items():
+            edges[pair] = edges.get(pair, 0) + w
+        return CooccurrenceGraph(edges)
+
     def __sub__(self, other: "CooccurrenceGraph") -> "CooccurrenceGraph":
         """Weights of ``self`` minus those of ``other``, e.g. all sessions minus a fold.
 

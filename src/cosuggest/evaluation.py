@@ -8,15 +8,19 @@ on the fold's sessions: the context is the concept set of the first query,
 the ground truth is the concepts of the remaining queries minus the
 context, i.e. what the user actually went on to explore.
 
-The co-occurrence graph of all sessions is counted once.  A fold's training
-graph is that graph minus the graph of its held-out sessions: a weight
+Each session's co-occurrence pairs are counted once.  Each fold's held-out
+graph is built once; the graph of all sessions is the sum of those graphs
+plus the graph of the single-query sessions, which are never held out.  A
+fold's training graph is the full graph minus its held-out graph: a weight
 counts sessions, so the difference is exactly the graph of the training
 sessions.  Within a fold each distinct context is passed to ``suggest``
 once per strategy (``suggest`` is pure); its sessions share the answer.
-A fold hands back its metrics and the per-length F1 values of its scored
-sessions, not the sessions' outcomes.  Every metric is an ``fmean``
-(``math.fsum``-based, so exactly rounded), a min, a max or a count: the
-order in which sessions are scored moves no byte.
+A fold is scored in columns (one list per quantity, one entry per scored
+session) by the same code that :func:`aggregate` runs on outcomes, and
+hands back its metrics and the per-length F1 values of its scored
+sessions.  Every metric is an ``fmean`` (``math.fsum``-based, so exactly
+rounded), a min, a max or a count: the order in which sessions are scored
+moves no byte.
 
 Metrics are macro-averaged: per-session recall and precision are averaged
 within a fold, fold values are averaged into the report.  Sessions with
@@ -39,6 +43,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import timedelta
+from operator import and_
 from statistics import fmean
 from typing import NamedTuple
 
@@ -69,7 +74,7 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession
     """
     if k < 2:
         raise ValueError("fold count must be >= 2")
-    eligible = [s for s in ds.sessions if len(s.queries) >= 2]
+    eligible = [s for s in ds.sessions if _testable(s)]
     eligible.sort(key=lambda s: s.session_id)
     if len(eligible) < k:
         raise ValueError(
@@ -80,7 +85,14 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession
     return [eligible[fold::k] for fold in range(k)]
 
 
+def _testable(session: SearchSession) -> bool:
+    """Whether a session can be held out: it needs a context and a later query."""
+    return len(session.queries) >= 2
+
+
 class SessionOutcome(NamedTuple):
+    """One session scored on its own: what :func:`aggregate` and :func:`f1_by_length` read."""
+
     session_length: int
     ground_truth: frozenset[str]
     suggested: frozenset[str]
@@ -96,15 +108,6 @@ def _context_and_truth(
         raise ValueError("evaluation needs a session with at least two queries")
     context = frozenset(concept_sets[0])
     return context, frozenset().union(*concept_sets[1:]) - context
-
-
-def _outcome(
-    session_length: int, ground_truth: frozenset[str], suggested: frozenset[str]
-) -> SessionOutcome:
-    """Hits and per-session F1, computed once for every metric that reads them."""
-    hits = len(suggested & ground_truth)
-    f1 = _harmonic(hits / len(suggested), hits / len(ground_truth)) if hits else 0.0
-    return SessionOutcome(session_length, ground_truth, suggested, hits, f1)
 
 
 def _harmonic(precision: float, recall: float) -> float:
@@ -146,38 +149,55 @@ def aggregate(
     ``empty_suggestion_precision="zero"`` or ``"one"`` to score them instead.
     Raises when no session is scorable.
     """
-    if empty_suggestion_precision not in PRECISION_POLICIES:
-        raise ValueError(f"unknown precision policy {empty_suggestion_precision!r}")
     scored = [o for o in outcomes if o.ground_truth]
     if not scored:
         raise ValueError("no session with non-empty ground truth to aggregate")
+    truths = [o.ground_truth for o in scored]
+    suggested = [o.suggested for o in scored]
+    return _score_columns(truths, suggested, len(outcomes), fold, empty_suggestion_precision)[0]
 
-    recall = fmean(o.hits / len(o.ground_truth) for o in scored)
 
-    precision_values: list[float] = []
-    for outcome in scored:
-        if outcome.suggested:
-            precision_values.append(outcome.hits / len(outcome.suggested))
-        elif empty_suggestion_precision == "zero":
-            precision_values.append(0.0)
-        elif empty_suggestion_precision == "one":
-            precision_values.append(1.0)
-    precision = fmean(precision_values) if precision_values else 0.0
+def _score_columns(
+    truths: Sequence[frozenset[str]],
+    suggested: Sequence[frozenset[str]],
+    n_sessions: int,
+    fold: int,
+    empty_suggestion_precision: str,
+) -> tuple[FoldMetrics, list[float]]:
+    """The metrics of one (strategy, fold), and the F1 of each of its sessions.
 
-    hits = [o.hits for o in scored]
-    return FoldMetrics(
+    ``truths`` and ``suggested`` are columns: entry i of each belongs to the
+    i-th scored session, whose ground truth must be non-empty; at least one
+    session must be given.  ``n_sessions`` counts the unscored ones too.
+    """
+    if empty_suggestion_precision not in PRECISION_POLICIES:
+        raise ValueError(f"unknown precision policy {empty_suggestion_precision!r}")
+    hits = list(map(len, map(and_, suggested, truths)))
+    recalls = [h / len(t) for h, t in zip(hits, truths)]
+    if empty_suggestion_precision == "exclude":
+        precisions = [h / len(s) for h, s in zip(hits, suggested) if s]
+    else:
+        empty = 0.0 if empty_suggestion_precision == "zero" else 1.0
+        precisions = [h / len(s) if s else empty for h, s in zip(hits, suggested)]
+    f1s = [
+        _harmonic(h / len(s), r) if h else 0.0 for h, s, r in zip(hits, suggested, recalls)
+    ]
+    recall = fmean(recalls)
+    precision = fmean(precisions) if precisions else 0.0
+    metrics = FoldMetrics(
         fold=fold,
-        n_sessions=len(outcomes),
-        n_scored=len(scored),
-        n_precision_sessions=len(precision_values),
+        n_sessions=n_sessions,
+        n_scored=len(truths),
+        n_precision_sessions=len(precisions),
         recall=recall,
         precision=precision,
         f1=_harmonic(precision, recall),
-        f1_session_mean=fmean(o.f1 for o in scored),
+        f1_session_mean=fmean(f1s),
         richness_min=min(hits),
         richness_max=max(hits),
         richness_mean=fmean(hits),
     )
+    return metrics, f1s
 
 
 @dataclass(frozen=True)
@@ -193,15 +213,15 @@ def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
     Sessions with empty ground truth are excluded, mirroring aggregation.
     Smoothing is left to external plotting tools.
     """
-    return _length_rows(_f1_values_by_length(outcomes))
+    scored = [o for o in outcomes if o.ground_truth]
+    return _length_rows(_by_length([o.session_length for o in scored], [o.f1 for o in scored]))
 
 
-def _f1_values_by_length(outcomes: list[SessionOutcome]) -> dict[int, list[float]]:
-    """The F1 of each outcome with a non-empty ground truth, by session length."""
+def _by_length(lengths: Sequence[int], f1s: Sequence[float]) -> dict[int, list[float]]:
+    """The F1 values of a column of sessions, grouped by session length."""
     groups: dict[int, list[float]] = {}
-    for outcome in outcomes:
-        if outcome.ground_truth:
-            groups.setdefault(outcome.session_length, []).append(outcome.f1)
+    for length, f1 in zip(lengths, f1s):
+        groups.setdefault(length, []).append(f1)
     return groups
 
 
@@ -278,39 +298,48 @@ def f1_by_length_csv(rows: list[LengthF1]) -> str:
 
 def _run_fold(
     full: CooccurrenceGraph,
+    held_out: CooccurrenceGraph,
     test_sessions: list[SearchSession],
     fold: int,
     config: PipelineConfig,
     strategies: Sequence[Strategy],
 ) -> dict[Strategy, tuple[FoldMetrics | None, dict[int, list[float]]]]:
-    """Each strategy's metrics on the fold, with its F1 values by session length."""
-    graph = prune(full - build_graph(test_sessions), config.prune_min_weight)
+    """Each strategy's metrics on the fold, with its F1 values by session length.
+
+    ``held_out`` is ``build_graph(test_sessions)``; a fold without a session
+    to score gets ``None`` metrics.
+    """
+    graph = prune(full - held_out, config.prune_min_weight)
     clusters = (
         copra_cluster(graph, copra_config(config)).clusters
         if graph.edges
         else ConceptClusters()
     )
 
-    scored = [_context_and_truth(session.concepts) for session in test_sessions]
+    pairs = [_context_and_truth(session.concepts) for session in test_sessions]
+    # Every context is answered, so each strategy asks ``suggest`` the same
+    # questions whether or not a session scores.
+    distinct_contexts = dict.fromkeys(context for context, _ in pairs)
+    scored = [
+        (context, truth, len(session.concepts))
+        for session, (context, truth) in zip(test_sessions, pairs)
+        if truth
+    ]
+    contexts, truths, lengths = zip(*scored) if scored else ((), (), ())
     results: dict[Strategy, tuple[FoldMetrics | None, dict[int, list[float]]]] = {}
     for strategy in strategies:
-        # ``suggest`` memoizes too, but a call through it costs more than
-        # this lookup, and most sessions repeat a context.
-        suggested: dict[frozenset[str], frozenset[str]] = {}
-        outcomes = []
-        for session, (context, truth) in zip(test_sessions, scored):
-            if context not in suggested:
-                suggested[context] = suggest(clusters, context, strategy).suggested
-            outcomes.append(_outcome(len(session.concepts), truth, suggested[context]))
-        try:
-            metrics = aggregate(
-                outcomes,
-                fold=fold,
-                empty_suggestion_precision=config.empty_suggestion_precision,
-            )
-        except ValueError:
-            metrics = None
-        results[strategy] = (metrics, _f1_values_by_length(outcomes))
+        answers = {c: suggest(clusters, c, strategy).suggested for c in distinct_contexts}
+        if not scored:
+            results[strategy] = (None, {})
+            continue
+        metrics, f1s = _score_columns(
+            truths,
+            [answers[c] for c in contexts],
+            len(test_sessions),
+            fold,
+            config.empty_suggestion_precision,
+        )
+        results[strategy] = (metrics, _by_length(lengths, f1s))
     return results
 
 
@@ -321,9 +350,11 @@ def run_experiment_on_dataset(
 ) -> EvaluationReport:
     """Per-fold training, then scoring of the given strategies on a reduced dataset."""
     held_out = make_folds(ds, config.folds, config.seed)
-    full = build_graph(ds.sessions)
+    fold_graphs = [build_graph(test_sessions) for test_sessions in held_out]
+    full = sum(fold_graphs, build_graph(s for s in ds.sessions if not _testable(s)))
+    # Popping hands each fold its graph and drops it once the fold is scored.
     fold_results = [
-        _run_fold(full, test_sessions, fold, config, strategies)
+        _run_fold(full, fold_graphs.pop(0), test_sessions, fold, config, strategies)
         for fold, test_sessions in enumerate(held_out)
     ]
 

@@ -146,3 +146,47 @@ def test_subtracting_a_graph_that_is_not_a_subset_raises():
         with pytest.raises(ValueError):
             g - other
     assert (g - g).edges == {} and (g - g).nodes == set()
+
+
+def test_fold_graphs_plus_never_held_out_sessions_sum_to_full_graph():
+    """Each session counted once, in its fold's graph or, never held out, in the rest."""
+    single_query_pairs = 0
+    for seed in range(24):
+        ds = topic_dataset(seed, 30 + 5 * seed)
+        folds = make_folds(ds, 3 + seed % 4, seed)
+        held_ids = {s.session_id for fold in folds for s in fold}
+        never_held_out = [s for s in ds.sessions if s.session_id not in held_ids]
+        single_query_pairs += sum(
+            len(s.queries) == 1 and len(s.concepts[0]) >= 2 for s in never_held_out
+        )
+        total = build_graph(never_held_out)
+        for test_sessions in folds:
+            total = total + build_graph(test_sessions)
+        full = build_graph(ds.sessions)
+        assert total.edges == full.edges and total.nodes == full.nodes
+    assert single_query_pairs  # sessions that are never held out added edges
+
+
+def test_adding_graphs_adds_weights():
+    a = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "B", "C"}]}).sessions)
+    b = CooccurrenceGraph()
+    b.add_edge("B", "A", 3)
+    b.add_edge("C", "D")
+    a_edges, b_edges = dict(a.edges), dict(b.edges)
+    total = a + b
+    assert total.edges == {("A", "B"): 5, ("A", "C"): 1, ("B", "C"): 1, ("C", "D"): 1}
+    assert total.nodes == {"A", "B", "C", "D"}
+    assert (b + a).edges == total.edges
+    assert a.edges == a_edges and b.edges == b_edges  # operands left alone
+    assert (a + CooccurrenceGraph()).edges == a.edges
+    assert (CooccurrenceGraph() + CooccurrenceGraph()).edges == {}
+    assert (total - b).edges == a.edges and (total - a).edges == b.edges
+
+
+def test_sum_of_random_session_graphs_equals_graph_of_their_union():
+    rng = random.Random(11)
+    sessions = _random_sessions(rng, 150)
+    cut = sorted(rng.sample(range(len(sessions)), 4))
+    parts = [sessions[a:b] for a, b in zip([0, *cut], [*cut, len(sessions)])]
+    total = sum((build_graph(part) for part in parts), CooccurrenceGraph())
+    assert total.edges == build_graph(sessions).edges

@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import asdict
+from statistics import fmean
 
 import pytest
 
@@ -10,6 +11,7 @@ from cosuggest.cooccurrence import build_graph, prune
 from cosuggest.copra import ConceptCluster, ConceptClusters, copra_cluster
 from cosuggest.evaluation import (
     _context_and_truth,
+    FoldMetrics,
     LengthF1,
     _run_fold,
     aggregate,
@@ -21,11 +23,11 @@ from cosuggest.evaluation import (
 )
 from cosuggest.suggestion import Strategy, suggest
 
-from conftest import make_dataset, outcome_from_concept_sets, topic_dataset
+from conftest import make_dataset, outcome_from_concept_sets, session_outcome, topic_dataset
 
 
 def _outcome(length, gt, suggested):
-    return cosuggest.evaluation._outcome(length, frozenset(gt), frozenset(suggested))
+    return session_outcome(length, frozenset(gt), frozenset(suggested))
 
 
 # -------------------------------------------------------------- make_folds
@@ -315,12 +317,42 @@ def test_experiment_rates_within_bounds():
         assert summary.richness_mean <= summary.richness_max
 
 
-def test_fold_outcomes_match_per_session_oracle(monkeypatch):
+def _oracle_metrics(outcomes, fold, policy):
+    """Fold metrics from per-session outcomes, one session at a time."""
+    scored = [o for o in outcomes if o.ground_truth]
+    recalls, precisions = [], []
+    for o in scored:
+        recalls.append(o.hits / len(o.ground_truth))
+        if o.suggested:
+            precisions.append(o.hits / len(o.suggested))
+        elif policy != "exclude":
+            precisions.append({"zero": 0.0, "one": 1.0}[policy])
+    recall = fmean(recalls)
+    precision = fmean(precisions) if precisions else 0.0
+    hits = [o.hits for o in scored]
+    return FoldMetrics(
+        fold=fold,
+        n_sessions=len(outcomes),
+        n_scored=len(scored),
+        n_precision_sessions=len(precisions),
+        recall=recall,
+        precision=precision,
+        f1=2 * precision * recall / (precision + recall) if precision + recall else 0.0,
+        f1_session_mean=fmean(o.f1 for o in scored),
+        richness_min=min(hits),
+        richness_max=max(hits),
+        richness_mean=fmean(hits),
+    )
+
+
+def _check_folds_against_oracle(monkeypatch, policy):
     """Scoring once per distinct context gives each session's own outcome.
 
     A fold hands back its metrics and the F1 values of its scored sessions
-    by length; pooled over the folds, they give the report's rows, which
-    must equal ``f1_by_length`` over every fold's oracle outcomes.
+    by length; the metrics must equal the per-session oracle's and
+    ``aggregate``'s over the fold's oracle outcomes, and the F1 values,
+    pooled over the folds, give the report's rows, which must equal
+    ``f1_by_length`` over every fold's oracle outcomes.
     """
     calls = []
 
@@ -329,15 +361,16 @@ def test_fold_outcomes_match_per_session_oracle(monkeypatch):
         return suggest(clusters, context, strategy)
 
     monkeypatch.setattr(cosuggest.evaluation, "suggest", counting_suggest)
-    empty_contexts = 0
+    empty_contexts = empty_suggestions = 0
     for seed in range(6):
         ds = topic_dataset(100 + seed, 300, n_topics=4)
-        config = _config(folds=3 + seed % 3, seed=seed)
+        config = _config(folds=3 + seed % 3, seed=seed, empty_suggestion_precision=policy)
         full = build_graph(ds.sessions)
         pooled = {strategy: [] for strategy in Strategy}
         for fold, test_sessions in enumerate(make_folds(ds, config.folds, config.seed)):
             calls.clear()
-            results = _run_fold(full, test_sessions, fold, config, tuple(Strategy))
+            held_out = build_graph(test_sessions)
+            results = _run_fold(full, held_out, test_sessions, fold, config, tuple(Strategy))
             assert len(calls) == len(set(calls))
 
             test_ids = {s.session_id for s in test_sessions}
@@ -355,14 +388,75 @@ def test_fold_outcomes_match_per_session_oracle(monkeypatch):
                 for o in expected:
                     assert o.hits == len(o.suggested & o.ground_truth)
                     assert o.hits <= min(len(o.suggested), len(o.ground_truth))
+                    empty_suggestions += bool(o.ground_truth) and not o.suggested
                 f1_values = {}
                 for o in expected:
                     if o.ground_truth:
                         f1_values.setdefault(o.session_length, []).append(o.f1)
-                assert results[strategy] == (aggregate(expected, fold=fold), f1_values)
+                metrics = _oracle_metrics(expected, fold, policy)
+                assert metrics == aggregate(expected, fold, policy)
+                assert results[strategy] == (metrics, f1_values)
                 pooled[strategy] += expected
         report = run_experiment_on_dataset(ds, config)
         for strategy in Strategy:
             rows = report.strategies[strategy.value].f1_by_length
             assert rows == f1_by_length(pooled[strategy])
-    assert empty_contexts
+    # Both the empty-context and the scored empty-suggestion cases were exercised.
+    assert empty_contexts and empty_suggestions
+
+
+def test_fold_outcomes_match_per_session_oracle(monkeypatch):
+    _check_folds_against_oracle(monkeypatch, "exclude")
+
+
+@pytest.mark.parametrize("policy", ["zero", "one"])
+def test_fold_outcomes_match_per_session_oracle_when_empty_suggestions_score(
+    monkeypatch, policy
+):
+    _check_folds_against_oracle(monkeypatch, policy)
+
+
+def _unscorable_dataset():
+    """Every two-query session repeats its first query: no ground truth anywhere."""
+    data = {f"t{i}#1": [{"park", "beach"}] for i in range(10)}
+    data.update({f"e{i}#1": [{"park"}, {"park"}] for i in range(4)})
+    return make_dataset(data)
+
+
+def test_fold_without_scorable_session_gives_none(monkeypatch):
+    calls = []
+
+    def counting_suggest(clusters, context, strategy):
+        calls.append((context, strategy))
+        return suggest(clusters, context, strategy)
+
+    monkeypatch.setattr(cosuggest.evaluation, "suggest", counting_suggest)
+    ds = _unscorable_dataset()
+    config = _config()
+    full = build_graph(ds.sessions)
+    for fold, test_sessions in enumerate(make_folds(ds, config.folds, config.seed)):
+        calls.clear()
+        held_out = build_graph(test_sessions)
+        results = _run_fold(full, held_out, test_sessions, fold, config, tuple(Strategy))
+        assert results == {strategy: (None, {}) for strategy in Strategy}
+        # The contexts are still answered, as for a fold that scores.
+        assert calls == [(frozenset({"park"}), strategy) for strategy in Strategy]
+    with pytest.raises(ValueError, match="no fold produced scorable sessions"):
+        run_experiment_on_dataset(ds, config)
+
+
+def test_error_while_scoring_a_fold_propagates(monkeypatch):
+    """Only an empty fold gives ``None``; any other error while scoring is raised."""
+
+    def failing_fmean(values):
+        raise ValueError("fmean failed")
+
+    monkeypatch.setattr(cosuggest.evaluation, "fmean", failing_fmean)
+    ds = _experiment_dataset()
+    config = _config()
+    full = build_graph(ds.sessions)
+    test_sessions = make_folds(ds, config.folds, config.seed)[0]
+    with pytest.raises(ValueError, match="fmean failed"):
+        _run_fold(full, build_graph(test_sessions), test_sessions, 0, config, tuple(Strategy))
+    with pytest.raises(ValueError, match="fmean failed"):
+        run_experiment_on_dataset(ds, config)

@@ -133,7 +133,8 @@ def test_pins_hold_in_fresh_processes_under_other_hash_seeds(artifacts, hash_see
     """String hashing is randomized per process; no output may depend on it."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("COSUGGEST_")}
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])
+    paths = [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     runs = {
         MID_SIZE_REPORT: [
             "-c", "import sys, test_golden; sys.stdout.write(test_golden.mid_size_report_text())",
