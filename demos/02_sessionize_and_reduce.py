@@ -47,10 +47,10 @@ def main():
           f"median {stats.median}, stdev {stats.stdev:.2f}")
     print(f"  histogram: {stats.histogram}\n")
 
-    example = next(s for s in ds.sessions if len(s.queries) > 1)
+    example = next(s for s in ds.sessions if len(s.texts) > 1)
     print(f"Example session {example.session_id}:")
-    for record, concepts in zip(example.queries, example.concepts):
-        print(f"  {record.timestamp}  {record.query_text!r} -> {sorted(concepts)}")
+    for ts, text, concepts in zip(example.timestamps, example.texts, example.concepts):
+        print(f"  {ts}  {text!r} -> {sorted(concepts)}")
 
     out = Path(__file__).parent / "out"
     out.mkdir(exist_ok=True)

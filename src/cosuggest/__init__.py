@@ -29,7 +29,6 @@ from cosuggest.matching import (
 from cosuggest.log_pipeline import (
     LengthStats,
     ParseResult,
-    QueryRecord,
     ReducedDataset,
     SearchSession,
     SourceStats,
@@ -62,9 +61,6 @@ from cosuggest.suggestion import Strategy, SuggestionResult, suggest
 from cosuggest.evaluation import (
     EvaluationReport,
     FoldMetrics,
-    SessionOutcome,
-    aggregate,
-    f1_by_length,
     make_folds,
     run_experiment,
     run_experiment_on_dataset,
@@ -91,21 +87,17 @@ __all__ = [
     "OntologyMetrics",
     "ParseResult",
     "PipelineConfig",
-    "QueryRecord",
     "ReducedDataset",
     "SearchSession",
-    "SessionOutcome",
     "SourceStats",
     "Strategy",
     "SuggestionResult",
-    "aggregate",
     "build_graph",
     "build_lemma_index",
     "cluster_stats",
     "compute_metrics",
     "config_hash",
     "copra_cluster",
-    "f1_by_length",
     "load_lexicon",
     "load_ontology",
     "make_folds",

@@ -16,9 +16,8 @@ counts sessions, so the difference is exactly the graph of the training
 sessions.  Within a fold each distinct context is passed to ``suggest``
 once per strategy (``suggest`` is pure); its sessions share the answer.
 A fold is scored in columns (one list per quantity, one entry per scored
-session) by the same code that :func:`aggregate` runs on outcomes, and
-hands back its metrics and the per-length F1 values of its scored
-sessions.  Every metric is an ``fmean`` (``math.fsum``-based, so exactly
+session) and hands back its metrics and the per-length F1 values of its
+scored sessions.  Every metric is an ``fmean`` (``math.fsum``-based, so exactly
 rounded), a min, a max or a count: the order in which sessions are scored
 moves no byte.
 
@@ -45,7 +44,6 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import timedelta
 from operator import and_
 from statistics import fmean
-from typing import NamedTuple
 
 from cosuggest.config import PRECISION_POLICIES, PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
@@ -87,17 +85,7 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession
 
 def _testable(session: SearchSession) -> bool:
     """Whether a session can be held out: it needs a context and a later query."""
-    return len(session.queries) >= 2
-
-
-class SessionOutcome(NamedTuple):
-    """One session scored on its own: what :func:`aggregate` and :func:`f1_by_length` read."""
-
-    session_length: int
-    ground_truth: frozenset[str]
-    suggested: frozenset[str]
-    hits: int
-    f1: float
+    return len(session.texts) >= 2
 
 
 def _context_and_truth(
@@ -135,26 +123,6 @@ class FoldMetrics(Metrics):
     n_sessions: int
     n_scored: int
     n_precision_sessions: int
-
-
-def aggregate(
-    outcomes: list[SessionOutcome],
-    fold: int = 0,
-    empty_suggestion_precision: str = "exclude",
-) -> FoldMetrics:
-    """Macro-average one (strategy, fold) batch of session outcomes.
-
-    Sessions with empty ground truth are excluded entirely.  Sessions with
-    no suggestions are excluded from the precision mean by default; pass
-    ``empty_suggestion_precision="zero"`` or ``"one"`` to score them instead.
-    Raises when no session is scorable.
-    """
-    scored = [o for o in outcomes if o.ground_truth]
-    if not scored:
-        raise ValueError("no session with non-empty ground truth to aggregate")
-    truths = [o.ground_truth for o in scored]
-    suggested = [o.suggested for o in scored]
-    return _score_columns(truths, suggested, len(outcomes), fold, empty_suggestion_precision)[0]
 
 
 def _score_columns(
@@ -205,16 +173,6 @@ class LengthF1:
     length: int
     mean_f1: float
     n: int
-
-
-def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
-    """Mean per-session F1 grouped by session length, with group sizes.
-
-    Sessions with empty ground truth are excluded, mirroring aggregation.
-    Smoothing is left to external plotting tools.
-    """
-    scored = [o for o in outcomes if o.ground_truth]
-    return _length_rows(_by_length([o.session_length for o in scored], [o.f1 for o in scored]))
 
 
 def _by_length(lengths: Sequence[int], f1s: Sequence[float]) -> dict[int, list[float]]:

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from statistics import fmean, median_low, pstdev
 
@@ -28,23 +29,18 @@ LOG_HEADER = ("AnonID", "Query", "QueryTime", "ItemRank", "ClickURL")
 
 
 @dataclass(frozen=True, slots=True)
-class QueryRecord:
-    user_id: str
-    query_text: str
-    timestamp: datetime
-
-
-@dataclass(frozen=True, slots=True)
 class SearchSession:
-    """A user's time-contiguous query sequence; queries sorted by timestamp.
+    """A user's time-contiguous queries as aligned columns, sorted by timestamp.
 
-    ``concepts`` holds the matched concept set of each query, aligned with
-    ``queries``; it stays empty until :func:`reduce_dataset` fills it.
+    Entry i of ``texts``, ``timestamps`` and ``concepts`` belongs to the
+    session's i-th query.  ``concepts`` holds each query's matched concept
+    set; it stays empty until :func:`reduce_dataset` fills it.
     """
 
     session_id: str
     user_id: str
-    queries: tuple[QueryRecord, ...]
+    texts: tuple[str, ...]
+    timestamps: tuple[datetime, ...]
     concepts: tuple[frozenset[str], ...] = ()
 
 
@@ -57,9 +53,9 @@ class SourceStats:
 
 @dataclass
 class ParseResult:
-    """Deduplicated query records plus the count of skipped malformed rows."""
+    """Distinct ``(user, text, timestamp)`` triples plus the count of skipped malformed rows."""
 
-    records: list[QueryRecord]
+    records: list[tuple[str, str, datetime]]
     skipped: int
 
 
@@ -72,7 +68,7 @@ class ReducedDataset:
     @property
     def stats(self) -> SourceStats:
         return SourceStats(
-            queries=sum(len(s.queries) for s in self.sessions),
+            queries=sum(len(s.texts) for s in self.sessions),
             sessions=len(self.sessions),
             users=len({s.user_id for s in self.sessions}),
         )
@@ -95,7 +91,7 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def parse_log(path: str | Path) -> ParseResult:
-    """Parse a TSV query log into one record per (user, query, timestamp) triple.
+    """Parse a TSV query log into its distinct (user, text, timestamp) triples.
 
     Click rows repeat their query's triple and collapse into it.  Malformed
     rows (too few columns, empty user id, unparseable timestamp) are skipped
@@ -129,40 +125,35 @@ def parse_log(path: str | Path) -> ParseResult:
                 skipped += 1
                 continue
             dedup[user_id, query_text, ts] = None
-    records = [QueryRecord(user_id=u, query_text=q, timestamp=t) for u, q, t in dedup]
     if skipped:
         log.info("parse_log: skipped %d malformed rows", skipped)
-    return ParseResult(records=records, skipped=skipped)
+    return ParseResult(records=list(dedup), skipped=skipped)
 
 
-def split_sessions(records: list[QueryRecord], gap: timedelta) -> list[SearchSession]:
-    """Group records per user and split on inter-query gaps exceeding ``gap``.
+def split_sessions(
+    records: list[tuple[str, str, datetime]], gap: timedelta
+) -> list[SearchSession]:
+    """Group ``(user, text, timestamp)`` triples per user and split on gaps exceeding ``gap``.
 
     Sessions are returned ordered by user id then start time; session ids are
     ``<user>#<ordinal>`` with 1-based ordinals.  A gap exactly equal to the
-    threshold stays within the session.
+    threshold stays within the session.  Queries of one user at the same
+    timestamp keep the order in which they were given.
     """
     if gap <= timedelta(0):
         raise ValueError("gap must be positive")
-    by_user: dict[str, list[QueryRecord]] = {}
-    for rec in records:
-        by_user.setdefault(rec.user_id, []).append(rec)
+    by_user: dict[str, list[tuple[str, str, datetime]]] = {}
+    for record in records:
+        by_user.setdefault(record[0], []).append(record)
 
     sessions: list[SearchSession] = []
     for user_id in sorted(by_user):
-        stream = sorted(by_user[user_id], key=lambda r: r.timestamp)
-        ordinal = 1
-        current: list[QueryRecord] = []
-        for rec in stream:
-            if current and rec.timestamp - current[-1].timestamp > gap:
-                sessions.append(
-                    SearchSession(f"{user_id}#{ordinal}", user_id, tuple(current))
-                )
-                ordinal += 1
-                current = []
-            current.append(rec)
-        if current:
-            sessions.append(SearchSession(f"{user_id}#{ordinal}", user_id, tuple(current)))
+        _, texts, timestamps = zip(*sorted(by_user[user_id], key=itemgetter(2)))
+        cuts = [i for i in range(1, len(timestamps)) if timestamps[i] - timestamps[i - 1] > gap]
+        for ordinal, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(texts)]), start=1):
+            sessions.append(
+                SearchSession(f"{user_id}#{ordinal}", user_id, texts[lo:hi], timestamps[lo:hi])
+            )
     return sessions
 
 
@@ -177,15 +168,19 @@ def reduce_dataset(sessions: list[SearchSession], matcher: ConceptMatcher) -> Re
     retained: list[SearchSession] = []
     for session in sessions:
         per_query = []
-        for rec in session.queries:
-            concepts = memo.get(rec.query_text)
+        for text in session.texts:
+            concepts = memo.get(text)
             if concepts is None:
-                concepts = memo[rec.query_text] = match_query(matcher, rec.query_text)
+                concepts = memo[text] = match_query(matcher, text)
             per_query.append(concepts)
         if any(per_query):
             retained.append(
                 SearchSession(
-                    session.session_id, session.user_id, session.queries, tuple(per_query)
+                    session.session_id,
+                    session.user_id,
+                    session.texts,
+                    session.timestamps,
+                    tuple(per_query),
                 )
             )
     return ReducedDataset(retained)
@@ -217,7 +212,7 @@ def session_length_stats(ds: ReducedDataset) -> LengthStats:
     """Distribution of session lengths; population stdev; errors on empty data."""
     if not ds.sessions:
         raise ValueError("cannot compute length statistics of an empty dataset")
-    lengths = [len(s.queries) for s in ds.sessions]
+    lengths = [len(s.texts) for s in ds.sessions]
     return LengthStats(
         min=min(lengths),
         max=max(lengths),
@@ -236,12 +231,8 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
                 "session_id": session.session_id,
                 "user": session.user_id,
                 "queries": [
-                    {
-                        "text": rec.query_text,
-                        "ts": rec.timestamp.isoformat(" "),
-                        "concepts": sorted(cset),
-                    }
-                    for rec, cset in zip(session.queries, session.concepts)
+                    {"text": text, "ts": ts.isoformat(" "), "concepts": sorted(cset)}
+                    for text, ts, cset in zip(session.texts, session.timestamps, session.concepts)
                 ],
             }
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -267,25 +258,17 @@ def _session_from_json(
     for key in ("session_id", "user"):
         if not isinstance(payload[key], str):
             raise ValueError(f"{key} must be a string, got {payload[key]!r}")
-    user_id = payload["user"]
     queries = payload["queries"]
     if not queries:
         raise ValueError("session has no queries")
-    texts = [q["text"] for q in queries]
+    texts = tuple([q["text"] for q in queries])
     try:
         "".join(texts)  # one pass in C over the texts, failing on a non-string
     except TypeError:
         raise ValueError(f"query texts must be strings, got {texts!r}") from None
-    records = tuple(
-        QueryRecord(
-            user_id=user_id,
-            query_text=text,
-            timestamp=parse_timestamp(q["ts"]),
-        )
-        for text, q in zip(texts, queries)
-    )
-    concepts = tuple(_concept_set(q["concepts"], interned) for q in queries)
-    return SearchSession(payload["session_id"], user_id, records, concepts)
+    timestamps = tuple([parse_timestamp(q["ts"]) for q in queries])
+    concepts = tuple([_concept_set(q["concepts"], interned) for q in queries])
+    return SearchSession(payload["session_id"], payload["user"], texts, timestamps, concepts)
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:

@@ -6,12 +6,14 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from datetime import datetime, timedelta
+from statistics import fmean
+from typing import NamedTuple
 
 import pytest
 
 from cosuggest.copra import ConceptClusters
-from cosuggest.evaluation import SessionOutcome, _context_and_truth
-from cosuggest.log_pipeline import QueryRecord, ReducedDataset, SearchSession
+from cosuggest.evaluation import FoldMetrics, LengthF1, _context_and_truth, _score_columns
+from cosuggest.log_pipeline import ReducedDataset, SearchSession
 from cosuggest.ontology import Ontology, ontology_from_dict
 from cosuggest.suggestion import Strategy, suggest
 
@@ -76,21 +78,26 @@ def city_ontology() -> Ontology:
     return ontology_from_dict(CITY_ONTOLOGY)
 
 
-def make_records(user_id: str, texts_and_minutes: list[tuple[str, int]]) -> list[QueryRecord]:
-    """Records for one user at minute offsets from a fixed base instant."""
-    base = datetime(2006, 3, 1, 9, 0, 0)
-    return [
-        QueryRecord(user_id=user_id, query_text=text, timestamp=base + timedelta(minutes=m))
-        for text, m in texts_and_minutes
-    ]
+BASE_TIME = datetime(2006, 3, 1, 9, 0, 0)
+
+
+def make_records(
+    user_id: str, texts_and_minutes: list[tuple[str, int]]
+) -> list[tuple[str, str, datetime]]:
+    """``(user, text, timestamp)`` triples for one user at minute offsets
+    from a fixed base instant."""
+    return [(user_id, text, BASE_TIME + timedelta(minutes=m)) for text, m in texts_and_minutes]
 
 
 def make_session(
     session_id: str, user_id: str, texts: list[str], concepts: list[set[str]] = ()
 ) -> SearchSession:
-    records = make_records(user_id, [(t, 5 * i) for i, t in enumerate(texts)])
     return SearchSession(
-        session_id, user_id, tuple(records), tuple(frozenset(c) for c in concepts)
+        session_id,
+        user_id,
+        tuple(texts),
+        tuple(BASE_TIME + timedelta(minutes=5 * i) for i in range(len(texts))),
+        tuple(frozenset(c) for c in concepts),
     )
 
 
@@ -140,6 +147,16 @@ def topic_dataset(
     return make_dataset(data)
 
 
+class SessionOutcome(NamedTuple):
+    """One session scored on its own."""
+
+    session_length: int
+    ground_truth: frozenset[str]
+    suggested: frozenset[str]
+    hits: int
+    f1: float
+
+
 def session_outcome(
     session_length: int, ground_truth: frozenset[str], suggested: frozenset[str]
 ) -> SessionOutcome:
@@ -152,6 +169,36 @@ def session_outcome(
     else:
         f1 = 0.0
     return SessionOutcome(session_length, ground_truth, suggested, hits, f1)
+
+
+def aggregate(
+    outcomes: list[SessionOutcome],
+    fold: int = 0,
+    empty_suggestion_precision: str = "exclude",
+) -> FoldMetrics:
+    """Macro-average one (strategy, fold) batch of outcomes with the fold
+    loop's column scoring, which reads only each outcome's two sets.
+
+    Sessions with empty ground truth are excluded entirely; raises when no
+    session is scorable.
+    """
+    scored = [o for o in outcomes if o.ground_truth]
+    if not scored:
+        raise ValueError("no session with non-empty ground truth to aggregate")
+    truths = [o.ground_truth for o in scored]
+    suggested = [o.suggested for o in scored]
+    return _score_columns(truths, suggested, len(outcomes), fold, empty_suggestion_precision)[0]
+
+
+def f1_by_length(outcomes: list[SessionOutcome]) -> list[LengthF1]:
+    """Mean per-session F1 by session length, with group sizes, each F1
+    recomputed from the outcome's two sets; empty ground truths are excluded."""
+    groups: dict[int, list[float]] = {}
+    for o in outcomes:
+        if o.ground_truth:
+            f1 = session_outcome(o.session_length, o.ground_truth, o.suggested).f1
+            groups.setdefault(o.session_length, []).append(f1)
+    return [LengthF1(length, fmean(vals), len(vals)) for length, vals in sorted(groups.items())]
 
 
 def outcome_from_concept_sets(

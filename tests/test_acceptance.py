@@ -18,7 +18,7 @@ import pytest
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptCluster, ConceptClusters, CopraConfig, copra_cluster
-from cosuggest.evaluation import aggregate, run_experiment
+from cosuggest.evaluation import run_experiment
 from cosuggest.log_pipeline import (
     parse_log,
     reduce_dataset,
@@ -31,6 +31,7 @@ from cosuggest.suggestion import Strategy, suggest
 
 from conftest import (
     CITY_ONTOLOGY,
+    aggregate,
     make_dataset,
     make_records,
     outcome_from_concept_sets,

@@ -561,6 +561,24 @@ GOOD_SESSION = (
             ":2:",
         ),
         (
+            "bad_timestamp.ndjson",
+            GOOD_SESSION.replace("2006-03-01 09:00:00", "2006-13-01 09:00:00") + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":1:",
+        ),
+        (
+            "timestamp_number.ndjson",
+            GOOD_SESSION.replace('"2006-03-01 09:00:00"', "5") + "\n",
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":1:",
+        ),
+        (
+            "no_ts.ndjson",
+            GOOD_SESSION.replace(', "ts": "2006-03-01 09:00:00"', "") + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":1:",
+        ),
+        (
             "lexicon.json",
             '{"park": ["green space"],}\n',
             ["suggest", "--ontology", "{ontology}", "--query", "park",
@@ -593,6 +611,9 @@ GOOD_SESSION = (
         "clusters-id-a-boolean",
         "clusters-member-not-a-string",
         "reduced-query-text-not-a-string",
+        "reduced-bad-timestamp",
+        "reduced-timestamp-not-a-string",
+        "reduced-query-missing-ts",
         "lexicon-not-json",
         "lexicon-entry-not-a-list",
     ],

@@ -157,7 +157,7 @@ def test_fold_graphs_plus_never_held_out_sessions_sum_to_full_graph():
         held_ids = {s.session_id for fold in folds for s in fold}
         never_held_out = [s for s in ds.sessions if s.session_id not in held_ids]
         single_query_pairs += sum(
-            len(s.queries) == 1 and len(s.concepts[0]) >= 2 for s in never_held_out
+            len(s.texts) == 1 and len(s.concepts[0]) >= 2 for s in never_held_out
         )
         total = build_graph(never_held_out)
         for test_sessions in folds:

@@ -14,16 +14,22 @@ from cosuggest.evaluation import (
     FoldMetrics,
     LengthF1,
     _run_fold,
-    aggregate,
     copra_config,
-    f1_by_length,
     make_folds,
     run_experiment_on_dataset,
     summarize_folds,
 )
 from cosuggest.suggestion import Strategy, suggest
 
-from conftest import make_dataset, outcome_from_concept_sets, session_outcome, topic_dataset
+from conftest import (
+    SessionOutcome,
+    aggregate,
+    f1_by_length,
+    make_dataset,
+    outcome_from_concept_sets,
+    session_outcome,
+    topic_dataset,
+)
 
 
 def _outcome(length, gt, suggested):
@@ -230,6 +236,13 @@ def test_f1_by_length_grouped_means():
 
 def test_f1_by_length_empty():
     assert f1_by_length([]) == []
+
+
+def test_outcome_scoring_reads_only_the_sets():
+    """An outcome whose stored hits and F1 disagree with its sets is scored from the sets."""
+    stale = SessionOutcome(2, frozenset({"g"}), frozenset({"g"}), hits=0, f1=0.0)
+    assert f1_by_length([stale]) == [LengthF1(2, 1.0, 1)]
+    assert aggregate([stale]).f1_session_mean == 1.0
 
 
 # ---------------------------------------------------------- run_experiment

@@ -8,7 +8,6 @@ import pytest
 import cosuggest.log_pipeline
 from cosuggest.log_pipeline import (
     TIMESTAMP_FORMAT,
-    QueryRecord,
     parse_log,
     parse_timestamp,
     read_reduced_ndjson,
@@ -106,7 +105,7 @@ def test_row_without_timestamp_skipped(tmp_path):
     write_log(path, [("u1", "parks", "not a time", "", ""), ("u1", "beach", _ts(1), "", "")])
     result = parse_log(path)
     assert result.skipped == 1
-    assert [r.query_text for r in result.records] == ["beach"]
+    assert result.records == [("u1", "beach", datetime(2006, 3, 1, 9, 1))]
 
 
 def test_empty_file_with_header(tmp_path):
@@ -128,7 +127,7 @@ def test_short_and_userless_rows_skipped(tmp_path):
     )
     result = parse_log(path)
     assert result.skipped == 2
-    assert [r.user_id for r in result.records] == ["u9"]
+    assert [user for user, _, _ in result.records] == ["u9"]
 
 
 def test_same_query_at_different_times_kept(tmp_path):
@@ -143,7 +142,7 @@ def test_header_after_byte_order_mark_is_not_a_row(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     result = parse_log(path)
     assert result.skipped == 0
-    assert [(r.user_id, r.query_text) for r in result.records] == [("u1", "parks")]
+    assert [(user, text) for user, text, _ in result.records] == [("u1", "parks")]
 
 
 def test_headerless_log_keeps_a_first_user_named_like_the_header(tmp_path):
@@ -151,7 +150,7 @@ def test_headerless_log_keeps_a_first_user_named_like_the_header(tmp_path):
     path.write_text(f"AnonID7\tparks\t{_ts(0)}\t\t\nu2\tbeach\t{_ts(1)}\t\t\n", encoding="utf-8")
     result = parse_log(path)
     assert result.skipped == 0
-    assert [r.user_id for r in result.records] == ["AnonID7", "u2"]
+    assert [user for user, _, _ in result.records] == ["AnonID7", "u2"]
 
 
 def test_missing_file_raises():
@@ -165,7 +164,8 @@ def test_small_gap_single_session():
     records = make_records("u1", [("a", 0), ("b", 10)])
     sessions = split_sessions(records, GAP_30)
     assert len(sessions) == 1
-    assert len(sessions[0].queries) == 2
+    assert sessions[0].texts == ("a", "b")
+    assert sessions[0].timestamps == (datetime(2006, 3, 1, 9, 0), datetime(2006, 3, 1, 9, 10))
 
 
 def test_large_gap_splits():
@@ -182,8 +182,9 @@ def test_gap_exactly_at_threshold_stays_together():
 def test_users_never_mix():
     records = make_records("u1", [("a", 0), ("b", 5)]) + make_records("u2", [("c", 2), ("d", 7)])
     random.Random(3).shuffle(records)
+    owner = {text: user for user, text, _ in records}
     sessions = split_sessions(records, GAP_30)
-    assert all(len({q.user_id for q in s.queries}) == 1 for s in sessions)
+    assert all(owner[text] == s.user_id for s in sessions for text in s.texts)
     assert {s.user_id for s in sessions} == {"u1", "u2"}
 
 
@@ -198,15 +199,17 @@ def test_sessions_preserve_user_stream():
         records += make_records(user, minutes)
     sessions = split_sessions(records, GAP_30)
     for user in ["u1", "u2", "u3"]:
-        original = sorted(
-            (r for r in records if r.user_id == user), key=lambda r: r.timestamp
-        )
-        rebuilt = [q for s in sessions if s.user_id == user for q in s.queries]
-        assert sorted(rebuilt, key=lambda r: r.timestamp) == original
-        assert len(rebuilt) == len(original)
+        original = sorted((r for r in records if r[0] == user), key=lambda r: r[2])
+        rebuilt = [
+            (user, text, ts)
+            for s in sessions
+            if s.user_id == user
+            for text, ts in zip(s.texts, s.timestamps, strict=True)
+        ]
+        assert rebuilt == original
 
 
-def _random_log(rng: random.Random) -> list[QueryRecord]:
+def _random_log(rng: random.Random) -> list[tuple[str, str, datetime]]:
     records = []
     for u in range(rng.randint(1, 8)):
         minutes, m = [], 0
@@ -226,6 +229,33 @@ def test_gap_monotonicity_over_random_logs():
         n1 = len(split_sessions(records, timedelta(minutes=g1)))
         n2 = len(split_sessions(records, timedelta(minutes=g2)))
         assert n2 <= n1
+
+
+def test_same_second_queries_keep_first_seen_order(tmp_path, city_ontology):
+    """Only the timestamp orders a user's queries: a tie keeps the log's order."""
+    log = tmp_path / "log.tsv"
+    write_log(
+        log,
+        [
+            ("u1", "park", _ts(5), "", ""),
+            ("u1", "beach", _ts(5), "", ""),
+            ("u1", "museum", _ts(0), "", ""),
+            ("u1", "library", _ts(5), "", ""),
+        ],
+    )
+    sessions = split_sessions(parse_log(log).records, GAP_30)
+    order = ("museum", "park", "beach", "library")
+    assert [s.texts for s in sessions] == [order]
+    assert sessions[0].timestamps == tuple(
+        datetime(2006, 3, 1, 9, 0 if text == "museum" else 5) for text in order
+    )
+    out = tmp_path / "reduced.ndjson"
+    matcher = ConceptMatcher.from_ontology(city_ontology)
+    write_reduced_ndjson(reduce_dataset(sessions, matcher), out)
+    queries = json.loads(out.read_text(encoding="utf-8"))["queries"]
+    assert [(q["text"], q["ts"]) for q in queries] == [
+        ("museum", _ts(0)), ("park", _ts(5)), ("beach", _ts(5)), ("library", _ts(5)),
+    ]
 
 
 def test_nonpositive_gap_rejected():
@@ -313,10 +343,10 @@ def test_reduce_output_is_subset_of_input(city_ontology):
     sessions = split_sessions(records, GAP_30)
     ds = reduce_dataset(sessions, matcher)
     def key(s):
-        return (s.session_id, s.user_id, s.queries)
+        return (s.session_id, s.user_id, s.texts, s.timestamps)
 
     assert set(map(key, ds.sessions)) <= set(map(key, sessions))
-    assert all(len(s.concepts) == len(s.queries) for s in ds.sessions)
+    assert all(len(s.concepts) == len(s.texts) for s in ds.sessions)
 
 
 def test_reduce_matches_each_distinct_text_once(city_ontology, monkeypatch):
@@ -336,9 +366,9 @@ def test_reduce_matches_each_distinct_text_once(city_ontology, monkeypatch):
     # Oracle: match every query on its own and keep sessions with any match.
     expected = []
     for s in sessions:
-        per_query = tuple(match_query(matcher, rec.query_text) for rec in s.queries)
+        per_query = tuple(match_query(matcher, text) for text in s.texts)
         if any(per_query):
-            expected.append((s.session_id, s.user_id, s.queries, per_query))
+            expected.append((s.session_id, s.user_id, s.texts, s.timestamps, per_query))
 
     calls = Counter()
 
@@ -348,10 +378,10 @@ def test_reduce_matches_each_distinct_text_once(city_ontology, monkeypatch):
 
     monkeypatch.setattr(cosuggest.log_pipeline, "match_query", counting)
     ds = reduce_dataset(sessions, matcher)
-    got = [(s.session_id, s.user_id, s.queries, s.concepts) for s in ds.sessions]
+    got = [(s.session_id, s.user_id, s.texts, s.timestamps, s.concepts) for s in ds.sessions]
     assert got == expected
     assert 0 < len(expected) < len(sessions)
-    all_texts = [rec.query_text for s in sessions for rec in s.queries]
+    all_texts = [text for s in sessions for text in s.texts]
     assert len(all_texts) > len(set(all_texts))
     assert calls == Counter(set(all_texts))
 
@@ -400,9 +430,8 @@ def test_ndjson_roundtrip(tally_log, city_ontology, tmp_path):
     assert [s.session_id for s in loaded.sessions] == [s.session_id for s in ds.sessions]
     assert [s.concepts for s in loaded.sessions] == [s.concepts for s in ds.sessions]
     assert loaded.stats == ds.stats
-    # Query text and timestamps survive the round trip.
-    assert loaded.sessions[0].queries[0].query_text == ds.sessions[0].queries[0].query_text
-    assert loaded.sessions[0].queries[0].timestamp == ds.sessions[0].queries[0].timestamp
+    # Query texts and timestamps survive the round trip too.
+    assert loaded.sessions == ds.sessions
 
 
 def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
@@ -415,7 +444,7 @@ def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
     write_reduced_ndjson(ds, out)
     assert json.loads(out.read_text())["queries"][0]["ts"] == "0999-01-02 03:04:05"
     loaded = read_reduced_ndjson(out)
-    assert loaded.sessions[0].queries[0].timestamp == datetime(999, 1, 2, 3, 4, 5)
+    assert loaded.sessions[0].timestamps == (datetime(999, 1, 2, 3, 4, 5),)
 
 
 def test_reduced_concept_sets_are_interned(tmp_path):
