@@ -9,22 +9,22 @@ concepts the user explored afterwards.
 
 from pathlib import Path
 
-from cosuggest import PipelineConfig, run_experiment
+from cosuggest import PipelineConfig, reduce_from_config, run_experiment_on_dataset
 
 DATA = Path(__file__).parent / "data"
 
 
 def main():
     config = PipelineConfig(
+        ontology_path=str(DATA / "city_ontology.json"),
+        log_path=str(DATA / "search_log.tsv"),
         folds=5,
         seed=42,
         prune_min_weight=2,
         copra_v=2,
         lexicon_path=str(DATA / "lexicon.json"),
     )
-    report = run_experiment(
-        str(DATA / "search_log.tsv"), str(DATA / "city_ontology.json"), config
-    )
+    report = run_experiment_on_dataset(reduce_from_config(config), config)
 
     source = report.dataset_stats["source"]
     print(

@@ -21,7 +21,6 @@ from cosuggest.ontology import (
 )
 from cosuggest.matching import (
     ConceptMatcher,
-    build_lemma_index,
     load_lexicon,
     match_query,
     normalize,
@@ -62,7 +61,7 @@ from cosuggest.evaluation import (
     EvaluationReport,
     FoldMetrics,
     make_folds,
-    run_experiment,
+    reduce_from_config,
     run_experiment_on_dataset,
 )
 from cosuggest.config import PipelineConfig, config_hash
@@ -93,7 +92,6 @@ __all__ = [
     "Strategy",
     "SuggestionResult",
     "build_graph",
-    "build_lemma_index",
     "cluster_stats",
     "compute_metrics",
     "config_hash",
@@ -110,7 +108,7 @@ __all__ = [
     "read_graph_tsv",
     "read_reduced_ndjson",
     "reduce_dataset",
-    "run_experiment",
+    "reduce_from_config",
     "run_experiment_on_dataset",
     "session_length_stats",
     "split_sessions",

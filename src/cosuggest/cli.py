@@ -1,12 +1,13 @@
 """Command-line surface: inspectable pipeline stages over shared configuration.
 
 Stages can run standalone, reading the previous stage's artifact, or the
-whole experiment can run fused through ``eval``.  Every artifact embeds
-provenance (config hash, seed, package version); line-oriented formats
-(NDJSON, TSV, CSV) carry it in a ``<artifact>.meta.json`` sidecar so their
-line schemas stay clean.  Exit codes: 0 ok, 1 pipeline error, 2 usage or
-I/O error.  The batch stages (``BATCH_COMMANDS``) run with the cyclic
-garbage collector paused; :func:`main` restores the caller's setting.
+whole experiment can run fused through ``eval``.  Provenance (config hash,
+seed, package version) is embedded in the clusters JSON and the JSON
+report; the reduced NDJSON, the graph TSV and an ``eval`` report written
+with ``--out`` carry it in a ``<artifact>.meta.json`` sidecar.  Exit codes:
+0 ok, 1 pipeline error, 2 usage or I/O error.  The batch stages
+(``BATCH_COMMANDS``) run with the cyclic garbage collector paused;
+:func:`main` restores the caller's setting.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class UsageError(Exception):
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     cli_values = {key: getattr(args, key) for key in FIELD_NAMES if hasattr(args, key)}
-    if cli_values.get("excluded_facets") is not None:
-        cli_values["excluded_facets"] = tuple(cli_values["excluded_facets"])
     try:
         return resolve_config(config_file=args.config, cli_values=cli_values)
     except ValueError as exc:

@@ -101,7 +101,10 @@ def _coerce(key: str, value: object) -> object:
 
 def load_config_file(path: str | Path) -> dict:
     """Parse a JSON object or flat ``key=value`` lines into config values."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()
     values: dict[str, object] = {}
     if stripped.startswith("{"):
@@ -153,7 +156,7 @@ def resolve_config(
         values.update(load_config_file(config_file))
     values.update(env_overrides(environ))
     if cli_values:
-        values.update({k: v for k, v in cli_values.items() if v is not None})
+        values.update({k: _coerce(k, v) for k, v in cli_values.items() if v is not None})
     return PipelineConfig(**values)  # type: ignore[arg-type]
 
 

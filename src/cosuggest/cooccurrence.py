@@ -110,19 +110,20 @@ def write_graph_tsv(g: CooccurrenceGraph, path: str | Path) -> None:
 
 
 def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
-    """Inverse of :func:`write_graph_tsv`; a malformed line or a pair listed
-    twice (in either order) raises ``ValueError`` naming ``path:line``."""
+    """Inverse of :func:`write_graph_tsv`; a malformed line (bytes that are
+    not UTF-8 included) or a pair listed twice (in either order) raises
+    ``ValueError`` naming ``path:line``."""
     graph = CooccurrenceGraph()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            a, b, raw_w = fields
+    with open(path, "rb") as handle:  # decoded line by line, to name the bad one
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError("expected 3 tab-separated fields")
+                a, b, raw_w = fields
                 if graph.weight(a, b):
                     raise ValueError(f"repeated pair {a!r} {b!r}")
                 graph.add_edge(a, b, int(raw_w))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -114,9 +113,7 @@ def copra_cluster(
         raise ValueError("empty graph: nothing to cluster")
 
     vertices = sorted(adjacency)
-    self_weight = {
-        v: float(max((w for _, w in adjacency[v]), default=1)) for v in vertices
-    }
+    self_weight = {v: float(max(w for _, w in adjacency[v])) for v in vertices}
     threshold = 1.0 / cfg.v
     labels: Labels = {v: {v: 1.0} for v in vertices}
 
@@ -184,21 +181,17 @@ class ClusterStats:
     overlap_count: int
 
 
-def cluster_stats(clusters: Sequence[ConceptCluster]) -> ClusterStats:
+def cluster_stats(clusters: ConceptClusters) -> ClusterStats:
     """Cluster count, size spread, and how many concepts sit in >1 cluster."""
     if not clusters:
         return ClusterStats(0, 0, 0, 0.0, 0)
     sizes = [len(c.members) for c in clusters]
-    seen: dict[str, int] = {}
-    for cluster in clusters:
-        for concept in cluster.members:
-            seen[concept] = seen.get(concept, 0) + 1
     return ClusterStats(
         count=len(clusters),
         size_min=min(sizes),
         size_max=max(sizes),
         size_mean=fmean(sizes),
-        overlap_count=sum(1 for n in seen.values() if n > 1),
+        overlap_count=sum(1 for positions in clusters.postings.values() if len(positions) > 1),
     )
 
 

@@ -40,7 +40,7 @@ import csv
 import io
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import timedelta
 from operator import and_
 from statistics import fmean
@@ -373,11 +373,3 @@ def reduce_from_config(config: PipelineConfig) -> ReducedDataset:
     sessions = split_sessions(parsed.records, timedelta(minutes=config.gap_minutes))
     return reduce_dataset(sessions, matcher)
 
-
-def run_experiment(
-    log_path: str, ontology_path: str, config: PipelineConfig
-) -> EvaluationReport:
-    """Full pipeline: parse, sessionize, reduce, then cross-validated scoring."""
-    config = replace(config, log_path=log_path, ontology_path=ontology_path)
-    ds = reduce_from_config(config)
-    return run_experiment_on_dataset(ds, config)

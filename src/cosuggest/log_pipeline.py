@@ -97,34 +97,38 @@ def parse_log(path: str | Path) -> ParseResult:
     rows (too few columns, empty user id, unparseable timestamp) are skipped
     and counted.  First-seen order of triples is preserved.  The first line
     is the header when its first field is exactly ``AnonID``; a leading
-    UTF-8 byte order mark is dropped.
+    UTF-8 byte order mark is dropped.  Bytes that are not UTF-8 raise
+    ``ValueError`` naming the file.
     """
     dedup: dict[tuple[str, str, datetime], None] = {}
     skipped = 0
-    with open(path, encoding="utf-8-sig") as handle:
-        first = handle.readline()
-        if first and first.rstrip("\r\n").split("\t", 1)[0] != LOG_HEADER[0]:
-            # Header missing: treat the first line as data.
-            handle = chain((first,), handle)
-        for line in handle:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                skipped += 1
-                continue
-            user_id = fields[0].strip()
-            query_text = fields[1]
-            if not user_id:
-                skipped += 1
-                continue
-            try:
-                ts = parse_timestamp(fields[2].strip())
-            except ValueError:
-                skipped += 1
-                continue
-            dedup[user_id, query_text, ts] = None
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            first = handle.readline()
+            if first and first.rstrip("\r\n").split("\t", 1)[0] != LOG_HEADER[0]:
+                # Header missing: treat the first line as data.
+                handle = chain((first,), handle)
+            for line in handle:
+                line = line.rstrip("\r\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) < 3:
+                    skipped += 1
+                    continue
+                user_id = fields[0].strip()
+                query_text = fields[1]
+                if not user_id:
+                    skipped += 1
+                    continue
+                try:
+                    ts = parse_timestamp(fields[2].strip())
+                except ValueError:
+                    skipped += 1
+                    continue
+                dedup[user_id, query_text, ts] = None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if skipped:
         log.info("parse_log: skipped %d malformed rows", skipped)
     return ParseResult(records=list(dedup), skipped=skipped)
@@ -274,20 +278,20 @@ def _session_from_json(
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`.
 
-    A malformed line (missing field, bad value, no queries, a session id,
-    user, query text or concept that is not a string, concepts that are not
-    a list) or a repeated session id raises ``ValueError`` naming
-    ``path:line``.  Equal concept lists share one set.
+    A malformed line (bytes that are not UTF-8, missing field, bad value, no
+    queries, a session id, user, query text or concept that is not a string,
+    concepts that are not a list) or a repeated session id raises
+    ``ValueError`` naming ``path:line``.  Equal concept lists share one set.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:  # decoded line by line, to name the bad one
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 session = _session_from_json(json.loads(line), interned)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc

@@ -72,60 +72,11 @@ def normalize(text: str) -> list[str]:
     ]
 
 
-LemmaPhrases = dict[tuple[str, ...], frozenset[str]]
-
-
-def build_lemma_index(
-    ont: Ontology, lexicon: dict[str, list[str]] | None = None
-) -> LemmaPhrases:
-    """Map every phrase of every non-root class to its owners.
-
-    Annotation lemmas, lexicon surface phrases (``lexicon`` maps class id
-    to phrases) and the class label are indexed, each passed through
-    :func:`normalize` once so both sides of a match share one normal form
-    (a data file saying "shopping" meets query tokens reduced to "shop").
-    One phrase may map to several classes (collisions are preserved).
-    A lexicon entry for an undefined class raises ``ValueError``.  Classes
-    with neither annotations nor an indexed lexicon phrase, matchable
-    through their label only, are reported at warning level.
-    """
-    lexicon = lexicon or {}
-    unknown = sorted(set(lexicon) - set(ont.classes))
-    if unknown:
-        raise ValueError(f"lexicon references undefined classes: {unknown}")
-    phrases: dict[tuple[str, ...], set[str]] = {}
-    unannotated: set[str] = set()
-
-    def add(text: str, class_id: str) -> bool:
-        phrase = tuple(normalize(text))
-        if phrase:
-            phrases.setdefault(phrase, set()).add(class_id)
-        return bool(phrase)
-
-    for cls in ont.classes.values():
-        if cls.id == ont.root_id:
-            continue
-        for ann in cls.annotations:
-            add(" ".join(ann.lemmas), cls.id)
-        indexed = [add(surface, cls.id) for surface in lexicon.get(cls.id, ())]
-        if not cls.annotations and not any(indexed):
-            unannotated.add(cls.id)
-        add(cls.label, cls.id)
-
-    if unannotated:
-        log.warning(
-            "%d classes have no annotations and match through labels only: %s",
-            len(unannotated),
-            ", ".join(sorted(unannotated)),
-        )
-    return {p: frozenset(ids) for p, ids in phrases.items()}
-
-
 def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Load a synonym lexicon: JSON object mapping class id to phrase list."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"cannot parse lexicon file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"lexicon {path} must be a JSON object")
@@ -145,7 +96,7 @@ class ConceptMatcher:
     from ``index`` on first use and then kept.
     """
 
-    index: LemmaPhrases
+    index: dict[tuple[str, ...], frozenset[str]]
 
     @cached_property
     def vocabulary(self) -> frozenset[str]:
@@ -155,7 +106,47 @@ class ConceptMatcher:
     def from_ontology(
         cls, ont: Ontology, lexicon: dict[str, list[str]] | None = None
     ) -> "ConceptMatcher":
-        return cls(index=build_lemma_index(ont, lexicon))
+        """Index every phrase of every non-root class under its owners.
+
+        Annotation lemmas, lexicon surface phrases (``lexicon`` maps class id
+        to phrases) and the class label are indexed, each passed through
+        :func:`normalize` once so both sides of a match share one normal form
+        (a data file saying "shopping" meets query tokens reduced to "shop").
+        One phrase may map to several classes (collisions are preserved).
+        A lexicon entry for an undefined class raises ``ValueError``.  Classes
+        with neither annotations nor an indexed lexicon phrase, matchable
+        through their label only, are reported at warning level.
+        """
+        lexicon = lexicon or {}
+        unknown = sorted(set(lexicon) - set(ont.classes))
+        if unknown:
+            raise ValueError(f"lexicon references undefined classes: {unknown}")
+        phrases: dict[tuple[str, ...], set[str]] = {}
+        unannotated: set[str] = set()
+
+        def add(text: str, class_id: str) -> bool:
+            phrase = tuple(normalize(text))
+            if phrase:
+                phrases.setdefault(phrase, set()).add(class_id)
+            return bool(phrase)
+
+        for c in ont.classes.values():
+            if c.id == ont.root_id:
+                continue
+            for ann in c.annotations:
+                add(" ".join(ann.lemmas), c.id)
+            indexed = [add(surface, c.id) for surface in lexicon.get(c.id, ())]
+            if not c.annotations and not any(indexed):
+                unannotated.add(c.id)
+            add(c.label, c.id)
+
+        if unannotated:
+            log.warning(
+                "%d classes have no annotations and match through labels only: %s",
+                len(unannotated),
+                ", ".join(sorted(unannotated)),
+            )
+        return cls(index={p: frozenset(ids) for p, ids in phrases.items()})
 
 
 # Every query that matches nothing shares one set: callers that keep the

@@ -188,7 +188,7 @@ def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology JSON file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise OntologyError(f"cannot parse ontology file {path}: {exc}") from exc
     return ontology_from_dict(payload)
 

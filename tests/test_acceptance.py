@@ -18,7 +18,7 @@ import pytest
 from cosuggest.config import PipelineConfig
 from cosuggest.cooccurrence import CooccurrenceGraph, build_graph, prune
 from cosuggest.copra import ConceptCluster, ConceptClusters, CopraConfig, copra_cluster
-from cosuggest.evaluation import run_experiment
+from cosuggest.evaluation import reduce_from_config, run_experiment_on_dataset
 from cosuggest.log_pipeline import (
     parse_log,
     reduce_dataset,
@@ -197,8 +197,10 @@ def test_criterion_6_determinism_across_runs_and_threads(tmp_path):
     # keeps the test's id stable.
     blobs = []
     for _ in range(3):
-        config = PipelineConfig(folds=2, seed=42)
-        report = run_experiment(str(log_path), str(ontology_path), config)
+        config = PipelineConfig(
+            ontology_path=str(ontology_path), log_path=str(log_path), folds=2, seed=42
+        )
+        report = run_experiment_on_dataset(reduce_from_config(config), config)
         blobs.append(json.dumps(asdict(report), sort_keys=True).encode())
     assert blobs[0] == blobs[1] == blobs[2]
     _passed(6, "seed-42 reports byte-identical across three reruns")
@@ -279,8 +281,10 @@ def test_criterion_9_end_to_end_sanity(tmp_path):
     log_path, ontology_path = _engineered_inputs(tmp_path)
 
     start = time.perf_counter()
-    config = PipelineConfig(folds=2, seed=42)
-    report = run_experiment(str(log_path), str(ontology_path), config)
+    config = PipelineConfig(
+        ontology_path=str(ontology_path), log_path=str(log_path), folds=2, seed=42
+    )
+    report = run_experiment_on_dataset(reduce_from_config(config), config)
     elapsed = time.perf_counter() - start
 
     slack = report.strategies["slack"].summary

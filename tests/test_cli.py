@@ -51,40 +51,40 @@ def log_file(tmp_path):
 
 def test_config_file_json(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"seed": 7, "excluded_facets": ["administrative", "x"]}')
+    path.write_text('{"seed": 7, "excluded_facets": ["administrative", "x"]}', encoding="utf-8")
     values = load_config_file(path)
     assert values == {"seed": 7, "excluded_facets": ("administrative", "x")}
 
 
 def test_config_file_key_value(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("# comment\nseed=9\ngap_minutes = 15\nexcluded_facets=a,b\n")
+    path.write_text("# comment\nseed=9\ngap_minutes = 15\nexcluded_facets=a,b\n", encoding="utf-8")
     values = load_config_file(path)
     assert values == {"seed": 9, "gap_minutes": 15, "excluded_facets": ("a", "b")}
 
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("bogus=1\n")
+    path.write_text("bogus=1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config_file(path)
     for value in ("[3]", "true", "{}", "2.5"):
-        path.write_text(f'{{"folds": {value}}}')
+        path.write_text(f'{{"folds": {value}}}', encoding="utf-8")
         with pytest.raises(ValueError, match="folds"):
             load_config_file(path)
 
 
 def test_mistyped_config_values_name_the_key(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("folds=abc\n")
+    path.write_text("folds=abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
         load_config_file(path)
     with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
         env_overrides({"COSUGGEST_FOLDS": "abc"})
-    path.write_text('{"excluded_facets": [1, {}]}')
+    path.write_text('{"excluded_facets": [1, {}]}', encoding="utf-8")
     with pytest.raises(ValueError, match="excluded_facets must be a list of strings"):
         load_config_file(path)
-    path.write_text('{"excluded_facets": ["administrative", "natural"]}')
+    path.write_text('{"excluded_facets": ["administrative", "natural"]}', encoding="utf-8")
     assert load_config_file(path) == {"excluded_facets": ("administrative", "natural")}
 
 
@@ -95,7 +95,7 @@ def test_env_overrides():
 
 def test_resolution_precedence(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("seed=1\nfolds=3\ngap_minutes=10\n")
+    path.write_text("seed=1\nfolds=3\ngap_minutes=10\n", encoding="utf-8")
     config = resolve_config(
         config_file=path,
         environ={"COSUGGEST_SEED": "2", "COSUGGEST_FOLDS": "4"},
@@ -125,7 +125,7 @@ def test_config_hash_ignores_runtime_knobs():
 
 def test_threads_setting_is_gone(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("threads=2\n")
+    path.write_text("threads=2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'threads'"):
         load_config_file(path)
     assert env_overrides({"COSUGGEST_THREADS": "2"}) == {}
@@ -220,7 +220,7 @@ def test_invalid_ontology_exit_1(tmp_path, capsys):
     bad.write_text(json.dumps({"root": "r", "classes": [
         {"id": "r", "label": "r", "parents": []},
         {"id": "a", "label": "a", "parents": ["ghost"]},
-    ]}))
+    ]}), encoding="utf-8")
     assert main(["ont-metrics", "--ontology", str(bad)]) == 1
     assert "ghost" in capsys.readouterr().err
 
@@ -239,7 +239,7 @@ def test_mistyped_ontology_field_exits_1(tmp_path, log_file, capsys, field, valu
     bad.write_text(json.dumps({"root": "r", "classes": [
         {"id": "r", "label": "r", "parents": []},
         {"id": "a", "label": "a", "parents": ["r"], field: value},
-    ]}))
+    ]}), encoding="utf-8")
     argv = [command, "--ontology", str(bad)]
     if command == "reduce":
         argv += ["--log", str(log_file), "--out", str(tmp_path / "reduced.ndjson")]
@@ -268,7 +268,7 @@ def test_stage_pipeline_and_fused_eval_agree(ontology_file, log_file, tmp_path, 
     assert "nodes" in capsys.readouterr().out
 
     assert main(["cluster", "--graph", str(graph), "--out", str(clusters)]) == 0
-    payload = json.loads(clusters.read_text())
+    payload = json.loads(clusters.read_text(encoding="utf-8"))
     members = {tuple(sorted(c["members"])) for c in payload["clusters"]}
     assert members == {("beach", "park"), ("library", "museum")}
     assert payload["provenance"]["seed"] == 42
@@ -282,7 +282,7 @@ def test_stage_pipeline_and_fused_eval_agree(ontology_file, log_file, tmp_path, 
     ]) == 0
     assert staged.read_bytes() == fused.read_bytes()
 
-    report = json.loads(staged.read_text())
+    report = json.loads(staged.read_text(encoding="utf-8"))
     assert report["strategies"]["slack"]["summary"]["recall"] == 1.0
     assert report["strategies"]["slack"]["summary"]["precision"] == 1.0
 
@@ -308,7 +308,7 @@ def test_eval_csv_format(ontology_file, log_file, tmp_path):
         "eval", "--log", str(log_file), "--ontology", str(ontology_file),
         "--folds", "2", "--format", "csv", "--out", str(out),
     ]) == 0
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith(
         "strategy,fold,richness_min,richness_max,richness_mean,recall,precision,f1"
     )
@@ -316,7 +316,7 @@ def test_eval_csv_format(ontology_file, log_file, tmp_path):
     strategies = [line.split(",")[0] for line in lines[1:]]
     assert strategies.index("slack") < strategies.index("slack-selective") < strategies.index("strict")
     side = tmp_path / "report.f1_by_length.slack.csv"
-    assert side.read_text().splitlines()[0] == "length,mean_f1,n"
+    assert side.read_text(encoding="utf-8").splitlines()[0] == "length,mean_f1,n"
 
 
 def test_eval_single_strategy_filter(ontology_file, log_file, tmp_path, capsys):
@@ -356,7 +356,7 @@ def test_eval_requires_inputs(capsys):
 
 def test_cluster_on_empty_graph_exits_1(tmp_path, capsys):
     empty = tmp_path / "empty.tsv"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     assert main(["cluster", "--graph", str(empty), "--out", str(tmp_path / "c.json")]) == 1
     assert "empty graph" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
@@ -403,13 +403,13 @@ def test_env_override_changes_seed(ontology_file, log_file, tmp_path, monkeypatc
     monkeypatch.setenv("COSUGGEST_SEED", "7")
     main(["eval", "--log", str(log_file), "--ontology", str(ontology_file),
           "--folds", "2", "--out", str(out_b)])
-    assert json.loads(out_a.read_text())["config"]["seed"] == 42
-    assert json.loads(out_b.read_text())["config"]["seed"] == 7
+    assert json.loads(out_a.read_text(encoding="utf-8"))["config"]["seed"] == 42
+    assert json.loads(out_b.read_text(encoding="utf-8"))["config"]["seed"] == 7
 
 
 def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("folds=2\nseed=5\n")
+    cfg.write_text("folds=2\nseed=5\n", encoding="utf-8")
     assert main([
         "eval", "--config", str(cfg), "--log", str(log_file),
         "--ontology", str(ontology_file),
@@ -418,9 +418,13 @@ def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     assert payload["config"]["folds"] == 2
     assert payload["config"]["seed"] == 5
     broken = tmp_path / "run.json"
-    broken.write_text('{"folds": 2,\n')
+    broken.write_text('{"folds": 2,\n', encoding="utf-8")
     assert main(["eval", "--config", str(broken), "--log", str(log_file)]) == 2
     assert f"cannot parse config file {broken}: " in capsys.readouterr().err
+    not_utf8 = tmp_path / "run.ini"
+    not_utf8.write_bytes(b"folds=2\n" * 1200 + b"seed=\xff\n")
+    assert main(["eval", "--config", str(not_utf8), "--log", str(log_file)]) == 2
+    assert f"cannot read config file {not_utf8}: 'utf-8' codec" in capsys.readouterr().err
 
 
 def test_usage_error_on_bad_flag_value(ontology_file):
@@ -458,6 +462,14 @@ def test_lexicon_entries_of_excluded_classes_are_dropped(tmp_path):
 GOOD_SESSION = (
     '{"queries": [{"concepts": ["park"], "text": "park", "ts": "2006-03-01 09:00:00"}],'
     ' "session_id": "u1#1", "user": "u1"}'
+)
+# A byte that is not UTF-8, on a line past the first 8 KiB of its file: a
+# reader that decodes in chunks would blame the wrong line.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
+SESSIONS_THEN_BAD_BYTE = (
+    "".join(GOOD_SESSION.replace("u1#1", f"u1#{i}") + "\n" for i in range(100)).encode()
+    + GOOD_SESSION.replace("u1#1", "u1#100").encode().replace(b'"park"', b'"p\xffrk"', 1)
+    + b"\n"
 )
 
 
@@ -593,6 +605,39 @@ GOOD_SESSION = (
              "--clusters", "{tmp}/clusters.json", "--lexicon"],
             ": entry 'park' must be a list",
         ),
+        (
+            "not_utf8.ndjson",
+            SESSIONS_THEN_BAD_BYTE,
+            ["eval", "--folds", "2", "--reduced"],
+            ":101: " + NOT_UTF8,
+        ),
+        (
+            "not_utf8.tsv",
+            "".join(f"a{i}\tb{i}\t3\n" for i in range(1000)).encode() + b"x\xff\ty\t3\n",
+            ["cluster", "--out", "{tmp}/clusters.json", "--graph"],
+            ":1001: " + NOT_UTF8,
+        ),
+        (
+            "not_utf8_log.tsv",
+            b"AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
+            + b"1\tpark\t2006-03-01 09:00:00\t\t\n" * 400
+            + b"1\tp\xffrk\t2006-03-01 09:05:00\t\t\n",
+            ["reduce", "--ontology", "{ontology}", "--out", "{tmp}/reduced.ndjson", "--log"],
+            ": " + NOT_UTF8,
+        ),
+        (
+            "not_utf8_ontology.json",
+            b'{"root": "root",' + b" " * 9000 + b'"classes": ["\xff"]}',
+            ["ont-metrics", "--ontology"],
+            ("cannot parse ontology file {path}: " + NOT_UTF8,),
+        ),
+        (
+            "not_utf8_lexicon.json",
+            b'{"park": ["' + b"green " * 1500 + b'\xff"]}',
+            ["reduce", "--ontology", "{ontology}", "--log", "{data}/search_log.tsv",
+             "--out", "{tmp}/reduced.ndjson", "--lexicon"],
+            ("cannot parse lexicon file {path}: " + NOT_UTF8,),
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -616,14 +661,23 @@ GOOD_SESSION = (
         "reduced-query-missing-ts",
         "lexicon-not-json",
         "lexicon-entry-not-a-list",
+        "reduced-not-utf8",
+        "graph-not-utf8",
+        "log-not-utf8",
+        "ontology-not-utf8",
+        "lexicon-not-utf8",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(
     tmp_path, ontology_file, capsys, name, text, argv, where
 ):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    argv = [a.format(tmp=tmp_path, ontology=ontology_file) for a in argv] + [str(path)]
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    argv = [a.format(tmp=tmp_path, ontology=ontology_file, data=DATA) for a in argv]
+    argv.append(str(path))
     assert main(argv) == 1
     err = capsys.readouterr().err
     # A string follows the path; a tuple lists parts of the message around it.

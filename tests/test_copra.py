@@ -8,6 +8,7 @@ from cosuggest.cooccurrence import CooccurrenceGraph
 from cosuggest.copra import (
     ClusterStats,
     ConceptCluster,
+    ConceptClusters,
     CopraConfig,
     cluster_stats,
     copra_cluster,
@@ -186,18 +187,31 @@ def test_config_validation():
 # ------------------------------------------------------------- statistics
 
 def test_cluster_stats_empty():
-    assert cluster_stats([]) == ClusterStats(0, 0, 0, 0.0, 0)
+    assert cluster_stats(ConceptClusters()) == ClusterStats(0, 0, 0, 0.0, 0)
 
 
 def test_cluster_stats_overlap():
-    clusters = [
-        ConceptCluster(0, frozenset({"A", "B"})),
-        ConceptCluster(1, frozenset({"B", "C"})),
-    ]
+    clusters = ConceptClusters(
+        [ConceptCluster(0, frozenset({"A", "B"})), ConceptCluster(1, frozenset({"B", "C"}))]
+    )
     stats = cluster_stats(clusters)
     assert stats.count == 2
     assert stats.size_mean == pytest.approx(2.0)
     assert stats.overlap_count == 1
+
+    # Oracle: count each concept's clusters directly, over random overlapping clusters.
+    rng = random.Random(17)
+    concepts = [f"c{i}" for i in range(30)]
+    for _ in range(200):
+        clusters = ConceptClusters(
+            ConceptCluster(i, frozenset(rng.sample(concepts, rng.randint(1, 8))))
+            for i in range(rng.randint(1, 12))
+        )
+        homes = {c: sum(c in cluster.members for cluster in clusters) for c in concepts}
+        stats = cluster_stats(clusters)
+        assert stats.overlap_count == sum(1 for n in homes.values() if n > 1)
+        assert stats.count == len(clusters)
+        assert stats.size_max == max(len(cluster.members) for cluster in clusters)
 
 
 def test_clusters_json_roundtrip(tmp_path):

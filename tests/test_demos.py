@@ -29,6 +29,7 @@ def test_demo_script_runs(demo_dir, script):
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -442,7 +442,7 @@ def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
     )
     out = tmp_path / "reduced.ndjson"
     write_reduced_ndjson(ds, out)
-    assert json.loads(out.read_text())["queries"][0]["ts"] == "0999-01-02 03:04:05"
+    assert json.loads(out.read_text(encoding="utf-8"))["queries"][0]["ts"] == "0999-01-02 03:04:05"
     loaded = read_reduced_ndjson(out)
     assert loaded.sessions[0].timestamps == (datetime(999, 1, 2, 3, 4, 5),)
 

@@ -8,7 +8,6 @@ from cosuggest.matching import (
     _NOTHING,
     ConceptMatcher,
     _strip_suffix,
-    build_lemma_index,
     match_query,
     normalize,
 )
@@ -144,12 +143,12 @@ def test_phrase_collision_maps_to_both_classes():
             ],
         }
     )
-    index = build_lemma_index(ont)
+    index = ConceptMatcher.from_ontology(ont).index
     assert index[("green", "area")] == frozenset({"A", "B"})
 
 
 def test_multiple_phrases_same_class(city_ontology):
-    index = build_lemma_index(city_ontology)
+    index = ConceptMatcher.from_ontology(city_ontology).index
     assert index[("park",)] == frozenset({"park"})
     assert index[("public", "garden")] == frozenset({"park"})
 
@@ -165,7 +164,7 @@ def test_unannotated_classes_reported(caplog):
         }
     )
     with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
-        index = build_lemma_index(ont)
+        index = ConceptMatcher.from_ontology(ont).index
     assert "bare" in caplog.text
     # The label is still indexed, so the class remains matchable.
     assert index[("bare",)] == frozenset({"bare"})
@@ -173,7 +172,7 @@ def test_unannotated_classes_reported(caplog):
     for lexicon, warned in (({"bare": ["!!"]}, True), ({"bare": ["plain"]}, False)):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
-            build_lemma_index(ont, lexicon)
+            ConceptMatcher.from_ontology(ont, lexicon)
         assert ("bare" in caplog.text) is warned
 
 

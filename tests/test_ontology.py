@@ -30,7 +30,7 @@ def _cls(cid, parents, facet=None, annotations=None):
 
 def test_single_root_ontology(tmp_path):
     path = tmp_path / "ont.json"
-    path.write_text(json.dumps({"root": "root", "classes": [_cls("root", [])]}))
+    path.write_text(json.dumps({"root": "root", "classes": [_cls("root", [])]}), encoding="utf-8")
     ont = load_ontology(path)
     assert len(ont.classes) == 1
     metrics = compute_metrics(ont)
@@ -96,7 +96,7 @@ def test_bad_lemma_rejected():
 
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(OntologyError, match="cannot parse"):
         load_ontology(path)
 
