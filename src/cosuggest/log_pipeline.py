@@ -82,7 +82,7 @@ def parse_timestamp(text: str) -> datetime:
     to ``strptime``, which also accepts unpadded fields and non-ASCII digits.
     Either way the value, or the ``ValueError``, is ``strptime``'s.
     """
-    if len(text) == 19 and text[4] + text[7] + text[10] + text[13] + text[16] == "-- ::":
+    if len(text) == 19 and text[4::3] == "-- ::":
         try:
             return datetime.fromisoformat(text)
         except ValueError:
@@ -95,12 +95,14 @@ def parse_log(path: str | Path) -> ParseResult:
 
     Click rows repeat their query's triple and collapse into it.  Malformed
     rows (too few columns, empty user id, unparseable timestamp) are skipped
-    and counted.  First-seen order of triples is preserved.  The first line
-    is the header when its first field is exactly ``AnonID``; a leading
-    UTF-8 byte order mark is dropped.  Bytes that are not UTF-8 raise
-    ``ValueError`` naming the file.
+    and counted.  First-seen order of triples is preserved.  Equal user ids
+    and equal query texts share one string object.  The first line is the
+    header when its first field is exactly ``AnonID``; a leading UTF-8 byte
+    order mark is dropped.  Bytes that are not UTF-8 raise ``ValueError``
+    naming the file.
     """
     dedup: dict[tuple[str, str, datetime], None] = {}
+    share = {}.setdefault  # each user id or query text -> the first equal string seen
     skipped = 0
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -126,7 +128,7 @@ def parse_log(path: str | Path) -> ParseResult:
                 except ValueError:
                     skipped += 1
                     continue
-                dedup[user_id, query_text, ts] = None
+                dedup[share(user_id, user_id), share(query_text, query_text), ts] = None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if skipped:
@@ -257,7 +259,9 @@ def _concept_set(raw: object, interned: dict[tuple[str, ...], frozenset[str]]) -
 
 
 def _session_from_json(
-    payload: dict, interned: dict[tuple[str, ...], frozenset[str]]
+    payload: dict,
+    interned: dict[tuple[str, ...], frozenset[str]],
+    strings: dict[str, str],
 ) -> SearchSession:
     for key in ("session_id", "user"):
         if not isinstance(payload[key], str):
@@ -265,14 +269,21 @@ def _session_from_json(
     queries = payload["queries"]
     if not queries:
         raise ValueError("session has no queries")
-    texts = tuple([q["text"] for q in queries])
+    texts = [q["text"] for q in queries]
     try:
         "".join(texts)  # one pass in C over the texts, failing on a non-string
     except TypeError:
         raise ValueError(f"query texts must be strings, got {texts!r}") from None
     timestamps = tuple([parse_timestamp(q["ts"]) for q in queries])
     concepts = tuple([_concept_set(q["concepts"], interned) for q in queries])
-    return SearchSession(payload["session_id"], payload["user"], texts, timestamps, concepts)
+    share = strings.setdefault
+    return SearchSession(
+        payload["session_id"],
+        share(payload["user"], payload["user"]),
+        tuple(map(share, texts, texts)),
+        timestamps,
+        concepts,
+    )
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
@@ -281,18 +292,20 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     A malformed line (bytes that are not UTF-8, missing field, bad value, no
     queries, a session id, user, query text or concept that is not a string,
     concepts that are not a list) or a repeated session id raises
-    ``ValueError`` naming ``path:line``.  Equal concept lists share one set.
+    ``ValueError`` naming ``path:line``.  Equal concept lists share one set,
+    and equal user ids and query texts share one string object.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
+    strings: dict[str, str] = {}  # each user id or query text -> the first equal string seen
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
         for lineno, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                session = _session_from_json(json.loads(line), interned)
+                session = _session_from_json(json.loads(line), interned, strings)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:

@@ -638,6 +638,30 @@ SESSIONS_THEN_BAD_BYTE = (
              "--out", "{tmp}/reduced.ndjson", "--lexicon"],
             ("cannot parse lexicon file {path}: " + NOT_UTF8,),
         ),
+        (
+            "extra_data.ndjson",
+            GOOD_SESSION + "\n" + GOOD_SESSION.replace("u1", "u2") + ' {"user": "u3"}\n',
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
+        (
+            "array_line.ndjson",
+            GOOD_SESSION + "\n[" + GOOD_SESSION.replace("u1", "u2") + "]\n",
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
+        (
+            "queries_number.ndjson",
+            GOOD_SESSION + '\n{"queries": 5, "session_id": "u2#1", "user": "u2"}\n',
+            ["eval", "--folds", "2", "--reduced"],
+            ":2:",
+        ),
+        (
+            "query_string.ndjson",
+            GOOD_SESSION + '\n{"queries": ["park"], "session_id": "u2#1", "user": "u2"}\n',
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2:",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -666,6 +690,10 @@ SESSIONS_THEN_BAD_BYTE = (
         "log-not-utf8",
         "ontology-not-utf8",
         "lexicon-not-utf8",
+        "reduced-extra-data",
+        "reduced-line-is-an-array",
+        "reduced-queries-a-number",
+        "reduced-query-a-string",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from datetime import datetime, timedelta
+from itertools import product
 
 import pytest
 
@@ -82,6 +83,26 @@ def test_parse_timestamp_agrees_with_strptime():
     assert parse_timestamp("2006-3-1 1:2:3") == datetime(2006, 3, 1, 1, 2, 3)
     with pytest.raises(ValueError):
         parse_timestamp("2006-03-01 24:00:00")
+
+
+def test_parse_timestamp_sends_only_other_shapes_to_strptime(monkeypatch):
+    # The oracle above cannot see a fast path that is never taken.
+    sent = []
+
+    class Spy(datetime):
+        @classmethod
+        def strptime(cls, text, fmt):
+            sent.append(text)
+            return datetime.strptime(text, fmt)
+
+    monkeypatch.setattr(cosuggest.log_pipeline, "datetime", Spy)
+    stamps = ["2006-03-01 12:00:00", "0999-12-31 23:59:59", "2006-3-1 1:2:3", "2006-03-01T12:00:00"]
+    with pytest.raises(ValueError):
+        parse_timestamp(stamps.pop())
+    assert [parse_timestamp(text) for text in stamps] == [
+        datetime(2006, 3, 1, 12), datetime(999, 12, 31, 23, 59, 59), datetime(2006, 3, 1, 1, 2, 3)
+    ]
+    assert sent == ["2006-03-01T12:00:00", "2006-3-1 1:2:3"]
 
 
 # ---------------------------------------------------------------- parse_log
@@ -469,6 +490,49 @@ def test_reduced_concept_sets_are_interned(tmp_path):
     for i, j in ((0, 2), (0, 7), (1, 5), (3, 6)):
         assert got[i] is got[j]
     assert got[0] != got[1]
+
+
+# Only equal values may share an object: a trailing space, case, and NFC
+# against NFD each keep their own string.
+NEARLY_EQUAL_TEXTS = ["park", "park ", "Park", "caf\u00e9", "cafe\u0301"]
+
+
+def _assert_one_object_per_value(values):
+    assert len({id(value) for value in values}) == len(set(values))
+
+
+def test_parse_log_shares_user_ids_and_texts(tmp_path):
+    path = tmp_path / "log.tsv"
+    pairs = list(product(("user-1", "user-22"), NEARLY_EQUAL_TEXTS * 2 + ["beach"] * 3))
+    write_log(path, [(user, text, _ts(minute), "", "") for minute, (user, text) in enumerate(pairs)])
+    records = parse_log(path).records
+    assert [(user, text) for user, text, _ in records] == pairs
+    users, texts, _ = zip(*records)
+    _assert_one_object_per_value(users)
+    _assert_one_object_per_value(texts)
+
+
+def test_reduced_user_ids_and_texts_are_shared(tmp_path):
+    sessions = [
+        {
+            "session_id": f"{user}#{ordinal}",
+            "user": user,
+            "queries": [
+                {"text": text, "ts": _ts(minute), "concepts": ["c"]}
+                for minute, text in enumerate(NEARLY_EQUAL_TEXTS)
+            ],
+        }
+        for user in ("user-1", "user-22")
+        for ordinal in (1, 2)
+    ]
+    path = tmp_path / "reduced.ndjson"
+    path.write_text("".join(json.dumps(s) + "\n" for s in sessions), encoding="utf-8")
+    got = read_reduced_ndjson(path).sessions
+    assert [(s.user_id, list(s.texts)) for s in got] == [
+        (s["user"], [q["text"] for q in s["queries"]]) for s in sessions
+    ]
+    _assert_one_object_per_value([s.user_id for s in got])
+    _assert_one_object_per_value([text for s in got for text in s.texts])
 
 
 def test_ndjson_bytes_deterministic(tally_log, city_ontology, tmp_path):
