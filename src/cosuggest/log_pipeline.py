@@ -263,13 +263,20 @@ def _session_from_json(
     interned: dict[tuple[str, ...], frozenset[str]],
     strings: dict[str, str],
 ) -> SearchSession:
+    if type(payload) is not dict:
+        raise ValueError("session must be a JSON object")
     for key in ("session_id", "user"):
         if not isinstance(payload[key], str):
             raise ValueError(f"{key} must be a string, got {payload[key]!r}")
     queries = payload["queries"]
+    if type(queries) is not list:
+        raise ValueError("queries must be a list")
     if not queries:
         raise ValueError("session has no queries")
-    texts = [q["text"] for q in queries]
+    try:
+        texts = [q["text"] for q in queries]
+    except TypeError:
+        raise ValueError("each query must be a JSON object") from None
     try:
         "".join(texts)  # one pass in C over the texts, failing on a non-string
     except TypeError:
@@ -289,7 +296,8 @@ def _session_from_json(
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`.
 
-    A malformed line (bytes that are not UTF-8, missing field, bad value, no
+    A malformed line (bytes that are not UTF-8, a line or query that is not
+    a JSON object, queries that are not a list, missing field, bad value, no
     queries, a session id, user, query text or concept that is not a string,
     concepts that are not a list) or a repeated session id raises
     ``ValueError`` naming ``path:line``.  Equal concept lists share one set,

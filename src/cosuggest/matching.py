@@ -11,10 +11,12 @@ every other character separates them.  Every suffix rule needs a token
 ending in ``s`` or ``g``, so any other token is already in normal form and
 skips the rule table.
 
-A window of query tokens can only be an indexed phrase if every token in
-it occurs in some indexed phrase, so windows start only at tokens of the
-matcher's ``vocabulary`` and a window stops growing at the first token
-outside it.
+The matcher's ``starts`` map gives, for each token that begins an indexed
+phrase, the lengths of the phrases it begins.  So ``match_query`` looks up
+only windows that start at such a token and have one of its lengths; a
+token that occurs only inside phrases starts no window.  A query that
+matches one phrase gets that phrase's own set from the index, not a copy,
+so callers that keep results hold one set per distinct phrase set.
 """
 
 from __future__ import annotations
@@ -92,15 +94,20 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
 class ConceptMatcher:
     """Matcher over a built lemma index (phrase -> owning class ids).
 
-    ``vocabulary`` is every token that occurs in an indexed phrase, derived
-    from ``index`` on first use and then kept.
+    ``starts`` maps the first token of each indexed phrase to the sorted
+    lengths of the indexed phrases it begins, derived from ``index`` on first
+    use and then kept.  An empty phrase can never match and has no entry.
     """
 
     index: dict[tuple[str, ...], frozenset[str]]
 
     @cached_property
-    def vocabulary(self) -> frozenset[str]:
-        return frozenset(token for phrase in self.index for token in phrase)
+    def starts(self) -> dict[str, tuple[int, ...]]:
+        lengths: dict[str, set[int]] = {}
+        for phrase in self.index:
+            if phrase:
+                lengths.setdefault(phrase[0], set()).add(len(phrase))
+        return {token: tuple(sorted(ns)) for token, ns in lengths.items()}
 
     @classmethod
     def from_ontology(
@@ -149,9 +156,10 @@ class ConceptMatcher:
         return cls(index={p: frozenset(ids) for p, ids in phrases.items()})
 
 
-# Every query that matches nothing shares one set: callers that keep the
-# results (a memo over a log's query texts) then hold one object, not one per
-# query.
+# Every query that matches nothing shares one set, as every query that matches
+# one phrase shares that phrase's set in the index: callers that keep the
+# results (a memo over a log's query texts) then hold one object per distinct
+# result, not one per query.
 _NOTHING: frozenset[str] = frozenset()
 
 
@@ -159,22 +167,21 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
     """Concepts whose phrases occur contiguously in the normalized query.
 
     Longer matches do not suppress shorter ones; every matching phrase
-    contributes its owning classes.  A query that matches nothing gets the
-    shared empty set.
+    contributes its owning classes.  A query that matches one phrase gets
+    that phrase's set from ``matcher.index`` itself, and a query that matches
+    nothing gets the shared empty set.
     """
-    index, vocabulary = matcher.index, matcher.vocabulary
-    # A token outside the vocabulary is None: no window through it is indexed.
-    words = [(t,) if t in vocabulary else None for t in normalize(query_text)]
-    hits: set[str] = set()
-    for start in range(len(words)):
-        if words[start] is None:
-            continue
-        window: tuple[str, ...] = ()
-        for word in words[start:]:
-            if word is None:
+    index, starts = matcher.index, matcher.starts
+    tokens = normalize(query_text)
+    end = len(tokens)
+    found = []
+    for i, token in enumerate(tokens):
+        for n in starts.get(token, ()):
+            if i + n > end:  # lengths ascend; a cut-off window repeats a shorter one
                 break
-            window += word
-            ids = index.get(window)
+            ids = index.get(tuple(tokens[i : i + n]))
             if ids:
-                hits.update(ids)
-    return frozenset(hits) if hits else _NOTHING
+                found.append(ids)
+    if not found:
+        return _NOTHING
+    return found[0] if len(found) == 1 else found[0].union(*found[1:])

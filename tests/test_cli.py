@@ -648,19 +648,31 @@ SESSIONS_THEN_BAD_BYTE = (
             "array_line.ndjson",
             GOOD_SESSION + "\n[" + GOOD_SESSION.replace("u1", "u2") + "]\n",
             ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
-            ":2:",
+            ":2: session must be a JSON object",
         ),
         (
             "queries_number.ndjson",
             GOOD_SESSION + '\n{"queries": 5, "session_id": "u2#1", "user": "u2"}\n',
             ["eval", "--folds", "2", "--reduced"],
-            ":2:",
+            ":2: queries must be a list",
         ),
         (
             "query_string.ndjson",
             GOOD_SESSION + '\n{"queries": ["park"], "session_id": "u2#1", "user": "u2"}\n',
             ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
-            ":2:",
+            ":2: each query must be a JSON object",
+        ),
+        (
+            "query_object.ndjson",
+            GOOD_SESSION + '\n{"queries": {"text": "x"}, "session_id": "u2#1", "user": "u2"}\n',
+            ["eval", "--folds", "2", "--reduced"],
+            ":2: queries must be a list",
+        ),
+        (
+            "string_line.ndjson",
+            GOOD_SESSION + '\n"u2#1"\n',
+            ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
+            ":2: session must be a JSON object",
         ),
     ],
     ids=[
@@ -694,6 +706,8 @@ SESSIONS_THEN_BAD_BYTE = (
         "reduced-line-is-an-array",
         "reduced-queries-a-number",
         "reduced-query-a-string",
+        "reduced-queries-an-object",
+        "reduced-line-is-a-string",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

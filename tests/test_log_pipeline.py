@@ -17,7 +17,7 @@ from cosuggest.log_pipeline import (
     split_sessions,
     write_reduced_ndjson,
 )
-from cosuggest.matching import ConceptMatcher, match_query
+from cosuggest.matching import _NOTHING, ConceptMatcher, match_query
 
 from conftest import make_dataset, make_records, write_log
 
@@ -405,6 +405,23 @@ def test_reduce_matches_each_distinct_text_once(city_ontology, monkeypatch):
     all_texts = [text for s in sessions for text in s.texts]
     assert len(all_texts) > len(set(all_texts))
     assert calls == Counter(set(all_texts))
+
+
+def test_reduce_keeps_the_index_sets(city_ontology):
+    # A text that matches one phrase carries that phrase's set from the index,
+    # so the dataset holds one set per distinct phrase set, not one per text.
+    matcher = ConceptMatcher.from_ontology(city_ontology)
+    index = matcher.index
+    records = make_records("u1", [("park near me", 0), ("dog park", 5), ("pizza", 10)])
+    records += make_records("u2", [("public gardens", 0), ("park and beach", 5), ("parks", 10)])
+    ds = reduce_dataset(split_sessions(records, GAP_30), matcher)
+    by_text = {t: c for s in ds.sessions for t, c in zip(s.texts, s.concepts)}
+    assert len(by_text) == 6
+    for text in ("park near me", "dog park", "parks"):
+        assert by_text[text] is index[("park",)], text
+    assert by_text["public gardens"] is index[("public", "garden")]
+    assert by_text["pizza"] is _NOTHING
+    assert by_text["park and beach"] == {"park", "beach"}
 
 
 # ----------------------------------------------------- session_length_stats

@@ -212,6 +212,14 @@ def test_match_is_pure(city_ontology):
     assert first == second == frozenset({"park", "beach"})
 
 
+def _span_oracle(matcher: ConceptMatcher, text: str) -> frozenset[str]:
+    """The owners of every indexed phrase found as a contiguous run of the query."""
+    tokens = normalize(text)
+    n = len(tokens)
+    spans = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
+    return frozenset().union(*(ids for p, ids in matcher.index.items() if p in spans))
+
+
 def test_every_empty_match_is_the_shared_set(city_ontology):
     # Built directly: "old" and "hall" occur only inside longer phrases.
     direct = _matcher({("old", "town", "hall"): {"hall"}, ("town",): {"town"}, ("hall", "park"): {"hp"}})
@@ -240,11 +248,9 @@ def test_every_empty_match_is_the_shared_set(city_ontology):
         pairs = {phrase[i : i + 2] for phrase in matcher.index for i in range(len(phrase) - 1)}
         queries = queries + [" ".join(rng.choices(vocabulary, k=rng.randint(1, 5))) for _ in range(300)]
         for text in queries:
-            # Oracle: the owners of every indexed phrase found as a contiguous run.
             tokens = normalize(text)
             n = len(tokens)
-            spans = {tuple(tokens[i:j]) for i in range(n) for j in range(i + 1, n + 1)}
-            expected = frozenset().union(*(ids for p, ids in matcher.index.items() if p in spans))
+            expected = _span_oracle(matcher, text)
             got = match_query(matcher, text)
             assert got == expected, text
             assert (got is _NOTHING) is (not expected), text
@@ -265,3 +271,80 @@ def test_every_empty_match_is_the_shared_set(city_ontology):
             total += 1
     assert 4 <= seen["empty"] < total
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def _shared_starts_matcher() -> ConceptMatcher:
+    """Several phrase lengths per first token, which generated ontologies lack."""
+    return _matcher(
+        {
+            ("new",): {"N"},
+            ("new", "york"): {"NY"},
+            ("new", "york", "city"): {"NYC"},
+            # Shares "new" with the phrases above, then diverges.
+            ("new", "jersey"): {"NJ"},
+            # Neither ("old",) nor ("old", "town") is indexed.
+            ("old", "town", "hall"): {"OTH"},
+            ("town",): {"T"},
+            ("san", "jose"): {"SJ"},
+            ("san", "diego", "zoo"): {"SDZ"},
+            ("zoo",): {"Z", "N"},
+            # A matcher built directly may hold the empty phrase; it never matches.
+            (): {"EMPTY"},
+        }
+    )
+
+
+def test_match_agrees_with_span_oracle_on_shared_starts():
+    matcher = _shared_starts_matcher()
+    assert matcher.starts == {
+        "new": (1, 2, 3), "old": (3,), "town": (1,), "san": (2, 3), "zoo": (1,),
+    }
+    fixed = [
+        "", "new", "new york", "new york city", "new jersey", "new york jersey",
+        "york new", "city new york", "new york new york", "new new york city new",
+        "old town", "old town hall", "the old town", "old hall town", "san", "san diego",
+        "san diego zoo", "san jose zoo", "visit san diego", "zoo zoo", "news yorks cities",
+    ]
+    vocabulary = ["new", "york", "city", "jersey", "old", "town", "hall", "san", "jose",
+                  "diego", "zoo", "the", "news", "towns", "cities"]
+    rng = random.Random(19)
+    queries = fixed + [" ".join(rng.choices(vocabulary, k=rng.randint(1, 7))) for _ in range(2000)]
+    seen = dict.fromkeys(("several_lengths", "ends_mid_phrase", "repeated", "union"), 0)
+    for text in queries:
+        got = match_query(matcher, text)
+        expected = _span_oracle(matcher, text)
+        assert got == expected, text
+        assert "EMPTY" not in got, text
+        tokens = normalize(text)
+        hits = [
+            tokens[i : i + n]
+            for i, token in enumerate(tokens)
+            for n in range(1, 4)
+            if tuple(tokens[i : i + n]) in matcher.index and i + n <= len(tokens)
+        ]
+        seen["several_lengths"] += sum(h[:1] == ["new"] for h in hits) >= 2
+        seen["ends_mid_phrase"] += any(
+            len(p) > k and tuple(tokens[-k:]) == p[:k] for p in matcher.index for k in (1, 2)
+        )
+        seen["repeated"] += len(hits) > len({tuple(h) for h in hits})
+        seen["union"] += len(hits) >= 2
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_one_phrase_match_is_the_index_set():
+    matcher = _shared_starts_matcher()
+    index = matcher.index
+    # One phrase: the index's own set, not a copy.
+    for text, phrase in [("new", ("new",)), ("visit san jose", ("san", "jose")),
+                         ("old town", ("town",))]:
+        assert match_query(matcher, text) is index[phrase], text
+    assert match_query(matcher, "san diego") is _NOTHING
+    # A query ending where a longer phrase would go on still has one hit.
+    two = _matcher({("a", "b"): {"AB"}, ("a", "b", "c"): {"ABC"}})
+    assert match_query(two, "x a b") is two.index[("a", "b")]
+    # Two phrases: their union, in a new set.
+    got = match_query(matcher, "new york")
+    assert got == index[("new",)] | index[("new", "york")] == {"N", "NY"}
+    assert got is not index[("new",)] and got is not index[("new", "york")]
+    # The same phrase twice gives its owners once.
+    assert match_query(matcher, "town and town") == index[("town",)]
