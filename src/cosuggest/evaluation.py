@@ -353,7 +353,8 @@ def build_matcher(config: PipelineConfig) -> ConceptMatcher:
     """Load the configured ontology, apply facet exclusions and lexicon.
 
     Lexicon entries for classes that the facet exclusion removed are
-    dropped; an entry for a class the ontology never defined still raises.
+    dropped; an entry for the root or for a class the ontology never defined
+    still raises, naming the lexicon file.
     """
     if not config.ontology_path:
         raise ValueError("ontology path is required")
@@ -362,7 +363,10 @@ def build_matcher(config: PipelineConfig) -> ConceptMatcher:
     lexicon = load_lexicon(config.lexicon_path) if config.lexicon_path else {}
     excluded = full.classes.keys() - ont.classes.keys()
     lexicon = {cid: phrases for cid, phrases in lexicon.items() if cid not in excluded}
-    return ConceptMatcher.from_ontology(ont, lexicon=lexicon)
+    try:
+        return ConceptMatcher.from_ontology(ont, lexicon=lexicon)
+    except ValueError as exc:  # only a lexicon entry can be at fault
+        raise ValueError(f"{config.lexicon_path}: {exc}") from exc
 
 
 def reduce_from_config(config: PipelineConfig) -> ReducedDataset:

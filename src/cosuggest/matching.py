@@ -14,9 +14,11 @@ skips the rule table.
 The matcher's ``starts`` map gives, for each token that begins an indexed
 phrase, the lengths of the phrases it begins.  So ``match_query`` looks up
 only windows that start at such a token and have one of its lengths; a
-token that occurs only inside phrases starts no window.  A query that
-matches one phrase gets that phrase's own set from the index, not a copy,
-so callers that keep results hold one set per distinct phrase set.
+token that occurs only inside phrases starts no window.  Every phrase
+that one class alone owns maps to that class's one set in the index, and a
+query that matches one phrase gets that set itself, not a copy, so callers
+that keep results hold one set per owning class or union, not one per
+phrase or query.
 """
 
 from __future__ import annotations
@@ -120,32 +122,41 @@ class ConceptMatcher:
         :func:`normalize` once so both sides of a match share one normal form
         (a data file saying "shopping" meets query tokens reduced to "shop").
         One phrase may map to several classes (collisions are preserved).
-        A lexicon entry for an undefined class raises ``ValueError``.  Classes
-        with neither annotations nor an indexed lexicon phrase, matchable
-        through their label only, are reported at warning level.
+        The phrases that one class alone owns share one set, its owner set;
+        a phrase several classes own gets a set of its own.  A lexicon entry
+        for the root, which is never indexed, or for an undefined class
+        raises ``ValueError``.  Classes with neither annotations nor an
+        indexed lexicon phrase, matchable through their label only, are
+        reported at warning level.
         """
         lexicon = lexicon or {}
         unknown = sorted(set(lexicon) - set(ont.classes))
         if unknown:
             raise ValueError(f"lexicon references undefined classes: {unknown}")
-        phrases: dict[tuple[str, ...], set[str]] = {}
+        if ont.root_id in lexicon:
+            raise ValueError(
+                f"lexicon maps the root class {ont.root_id!r}, which is never indexed"
+            )
+        index: dict[tuple[str, ...], frozenset[str]] = {}
         unannotated: set[str] = set()
 
-        def add(text: str, class_id: str) -> bool:
+        def add(text: str, owner: frozenset[str]) -> bool:
             phrase = tuple(normalize(text))
-            if phrase:
-                phrases.setdefault(phrase, set()).add(class_id)
+            if phrase:  # a phrase that several classes own gets their union
+                ids = index.get(phrase, owner)
+                index[phrase] = ids if owner <= ids else ids | owner
             return bool(phrase)
 
         for c in ont.classes.values():
             if c.id == ont.root_id:
                 continue
+            owner = frozenset((c.id,))  # shared by the phrases only this class owns
             for ann in c.annotations:
-                add(" ".join(ann.lemmas), c.id)
-            indexed = [add(surface, c.id) for surface in lexicon.get(c.id, ())]
+                add(" ".join(ann.lemmas), owner)
+            indexed = [add(surface, owner) for surface in lexicon.get(c.id, ())]
             if not c.annotations and not any(indexed):
                 unannotated.add(c.id)
-            add(c.label, c.id)
+            add(c.label, owner)
 
         if unannotated:
             log.warning(
@@ -153,13 +164,13 @@ class ConceptMatcher:
                 len(unannotated),
                 ", ".join(sorted(unannotated)),
             )
-        return cls(index={p: frozenset(ids) for p, ids in phrases.items()})
+        return cls(index=index)
 
 
 # Every query that matches nothing shares one set, as every query that matches
-# one phrase shares that phrase's set in the index: callers that keep the
-# results (a memo over a log's query texts) then hold one object per distinct
-# result, not one per query.
+# one phrase shares that phrase's set in the index (one per owning class for
+# the phrases of a single class): callers that keep the results (a memo over a
+# log's query texts) then hold one object per distinct result, not one per query.
 _NOTHING: frozenset[str] = frozenset()
 
 
@@ -168,8 +179,9 @@ def match_query(matcher: ConceptMatcher, query_text: str) -> frozenset[str]:
 
     Longer matches do not suppress shorter ones; every matching phrase
     contributes its owning classes.  A query that matches one phrase gets
-    that phrase's set from ``matcher.index`` itself, and a query that matches
-    nothing gets the shared empty set.
+    that phrase's set from ``matcher.index`` itself, which every phrase of
+    the same sole owner shares, and a query that matches nothing gets the
+    shared empty set.
     """
     index, starts = matcher.index, matcher.starts
     tokens = normalize(query_text)

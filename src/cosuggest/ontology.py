@@ -26,7 +26,7 @@ The root class is the only class with an empty parent list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 
@@ -94,14 +94,20 @@ def _parse_annotation(raw: object, class_id: str) -> AnnotationPhrase:
         raise OntologyError(f"class {class_id!r}: annotation surface must be a string")
     if not isinstance(lemmas, list) or not lemmas:
         raise OntologyError(f"class {class_id!r}: annotation lemmas must be a non-empty list")
-    for tok in lemmas:
-        if not isinstance(tok, str) or not tok:
-            raise OntologyError(f"class {class_id!r}: empty lemma token")
-        if tok != tok.lower() or any(ch.isspace() for ch in tok):
-            raise OntologyError(
-                f"class {class_id!r}: lemma {tok!r} must be lowercase without whitespace"
-            )
-    return AnnotationPhrase(surface=surface, lemmas=tuple(lemmas))
+    # split() cuts where isspace() holds, so the tokens split back out of their
+    # join only when each is a non-empty string without whitespace (str() of a
+    # non-string never equals it); lower() changes the join only where it
+    # changes a token.  The loop below names the first bad token.
+    joined = " ".join(map(str, lemmas))
+    if joined.split() != lemmas or joined != joined.lower():
+        for tok in lemmas:
+            if not isinstance(tok, str) or not tok:
+                raise OntologyError(f"class {class_id!r}: empty lemma token")
+            if tok != tok.lower() or any(ch.isspace() for ch in tok):
+                raise OntologyError(
+                    f"class {class_id!r}: lemma {tok!r} must be lowercase without whitespace"
+                )
+    return AnnotationPhrase(surface, tuple(lemmas))
 
 
 def ontology_from_dict(payload: object) -> Ontology:
@@ -136,14 +142,8 @@ def ontology_from_dict(payload: object) -> Ontology:
         raw_annotations = raw.get("annotations", [])
         if not isinstance(raw_annotations, list):
             raise OntologyError(f"class {cid!r}: 'annotations' must be a list")
-        annotations = tuple(_parse_annotation(a, cid) for a in raw_annotations)
-        classes[cid] = OntClass(
-            id=cid,
-            label=label,
-            parent_ids=frozenset(parents),
-            annotations=annotations,
-            facet_tag=facet,
-        )
+        annotations = tuple([_parse_annotation(a, cid) for a in raw_annotations])
+        classes[cid] = OntClass(cid, label, frozenset(parents), annotations, facet)
 
     ont = Ontology(root_id=root_id, classes=classes)
     validate_ontology(ont)
@@ -190,7 +190,10 @@ def load_ontology(path: str | Path) -> Ontology:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise OntologyError(f"cannot parse ontology file {path}: {exc}") from exc
-    return ontology_from_dict(payload)
+    try:
+        return ontology_from_dict(payload)
+    except OntologyError as exc:
+        raise OntologyError(f"{path}: {exc}") from exc
 
 
 def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -> Ontology:
@@ -210,13 +213,11 @@ def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -
     for cid, cls in ont.classes.items():  # original order: deterministic output
         if cid not in kept:
             continue
-        if cid == ont.root_id:
-            classes[cid] = cls
-            continue
-        parents = frozenset(p for p in cls.parent_ids if p in kept)
-        if not parents:
-            parents = frozenset({ont.root_id})
-        classes[cid] = replace(cls, parent_ids=parents)
+        if cid != ont.root_id:
+            parents = cls.parent_ids & kept or frozenset({ont.root_id})
+            if parents != cls.parent_ids:  # a class whose parents all stay is kept as is
+                cls = OntClass(cid, cls.label, parents, cls.annotations, cls.facet_tag)
+        classes[cid] = cls
     result = Ontology(root_id=ont.root_id, classes=classes)
     validate_ontology(result)
     return result

@@ -471,6 +471,12 @@ SESSIONS_THEN_BAD_BYTE = (
     + GOOD_SESSION.replace("u1#1", "u1#100").encode().replace(b'"park"', b'"p\xffrk"', 1)
     + b"\n"
 )
+_PARK = next(c for c in CITY_ONTOLOGY["classes"] if c["id"] == "park")
+
+
+def _with_class(*extra):
+    """The city ontology with the given class objects appended."""
+    return {**CITY_ONTOLOGY, "classes": CITY_ONTOLOGY["classes"] + list(extra)}
 
 
 @pytest.mark.parametrize(
@@ -674,6 +680,46 @@ SESSIONS_THEN_BAD_BYTE = (
             ["graph", "--out", "{tmp}/graph.tsv", "--reduced"],
             ":2: session must be a JSON object",
         ),
+        (
+            "duplicate_id.json",
+            json.dumps(_with_class(_PARK)),
+            ["ont-metrics", "--ontology"],
+            ": duplicate class id 'park'",
+        ),
+        (
+            "bad_lemma.json",
+            json.dumps(_with_class({**_PARK, "id": "lawn", "annotations": [
+                {"surface": "Lawn", "lemmas": ["Lawn"]}]})),
+            ["ont-metrics", "--ontology"],
+            ": class 'lawn': lemma 'Lawn' must be lowercase without whitespace",
+        ),
+        (
+            "cycle.json",
+            json.dumps(_with_class({**_PARK, "id": "a", "parents": ["b"]},
+                                   {**_PARK, "id": "b", "parents": ["a"]})),
+            ["ont-metrics", "--ontology"],
+            ": cycle or unreachable classes detected: ['a', 'b']",
+        ),
+        (
+            "dangling_parent.json",
+            json.dumps(_with_class({**_PARK, "id": "lawn", "parents": ["nowhere"]})),
+            ["ont-metrics", "--ontology"],
+            ": class 'lawn' references undefined parent 'nowhere'",
+        ),
+        (
+            "lexicon_root.json",
+            '{"park": ["green space"], "thing": ["anything at all"]}\n',
+            ["reduce", "--ontology", "{ontology}", "--log", "{data}/search_log.tsv",
+             "--out", "{tmp}/reduced.ndjson", "--lexicon"],
+            ": lexicon maps the root class 'thing', which is never indexed",
+        ),
+        (
+            "lexicon_undefined.json",
+            '{"park": ["green space"], "nope": ["x"], "gone": ["y"]}\n',
+            ["suggest", "--ontology", "{ontology}", "--query", "park",
+             "--clusters", "{tmp}/clusters.json", "--lexicon"],
+            ": lexicon references undefined classes: ['gone', 'nope']",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -708,6 +754,12 @@ SESSIONS_THEN_BAD_BYTE = (
         "reduced-query-a-string",
         "reduced-queries-an-object",
         "reduced-line-is-a-string",
+        "ontology-duplicate-id",
+        "ontology-bad-lemma",
+        "ontology-cycle",
+        "ontology-dangling-parent",
+        "lexicon-maps-the-root",
+        "lexicon-undefined-classes",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

@@ -205,6 +205,68 @@ def test_lexicon_unknown_class_rejected(city_ontology):
         ConceptMatcher.from_ontology(city_ontology, lexicon={"nope": ["x"]})
 
 
+def test_lexicon_root_entry_rejected(city_ontology):
+    # The root is never indexed, so its phrases would match nothing.
+    with pytest.raises(ValueError) as info:
+        ConceptMatcher.from_ontology(city_ontology, lexicon={"thing": ["anything at all"]})
+    assert str(info.value) == "lexicon maps the root class 'thing', which is never indexed"
+
+
+_WORDS = ["park", "parks", "green", "area", "shopping", "shop", "hall", "old", "town", "!!"]
+
+
+def _random_annotated_ontology(rng: random.Random):
+    """A random DAG whose phrases, labels and lexicon entries often collide."""
+    classes = [{"id": "c0", "label": "Park", "parents": [], "annotations": []}]
+    lexicon = {}
+    for i in range(1, rng.randint(2, 30)):
+        annotations = [
+            {"surface": "s", "lemmas": rng.choices(_WORDS, k=rng.randint(1, 3))}
+            for _ in range(rng.randint(0, 3))
+        ]
+        label = rng.choice([f"c{i}", rng.choice(_WORDS).title(), "?"])
+        parents = rng.sample([f"c{j}" for j in range(i)], rng.randint(1, min(2, i)))
+        classes.append(
+            {"id": f"c{i}", "label": label, "parents": parents, "annotations": annotations}
+        )
+        if rng.random() < 0.3:
+            lexicon[f"c{i}"] = [" ".join(rng.choices(_WORDS, k=rng.randint(0, 2))) for _ in "ab"]
+    return ontology_from_dict({"root": "c0", "classes": classes}), lexicon
+
+
+def _brute_force_index(ont, lexicon):
+    """Every phrase of every non-root class, normalized and indexed one by one."""
+    owners: dict[tuple[str, ...], set[str]] = {}
+    for c in ont.classes.values():
+        if c.id == ont.root_id:
+            continue
+        texts = [" ".join(a.lemmas) for a in c.annotations] + lexicon.get(c.id, []) + [c.label]
+        for text in texts:
+            phrase = tuple(normalize(text))
+            if phrase:
+                owners.setdefault(phrase, set()).add(c.id)
+    return {p: frozenset(ids) for p, ids in owners.items()}
+
+
+def test_index_matches_a_per_phrase_brute_force_on_random_dags():
+    collisions = shared = 0
+    for seed in range(200):
+        ont, lexicon = _random_annotated_ontology(random.Random(seed))
+        index = ConceptMatcher.from_ontology(ont, lexicon).index
+        expected = _brute_force_index(ont, lexicon)
+        assert index == expected
+        assert list(index) == list(expected)
+        collisions += sum(len(ids) > 1 for ids in index.values())
+        # The phrases that one class alone owns share one set object.
+        alone: dict[str, list[frozenset[str]]] = {}
+        for ids in index.values():
+            if len(ids) == 1:
+                alone.setdefault(next(iter(ids)), []).append(ids)
+        assert all(all(ids is sets[0] for ids in sets) for sets in alone.values())
+        shared += sum(len(sets) > 1 for sets in alone.values())
+    assert collisions > 0 and shared > 0
+
+
 def test_match_is_pure(city_ontology):
     matcher = ConceptMatcher.from_ontology(city_ontology)
     first = match_query(matcher, "park and beach")

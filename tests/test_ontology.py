@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -84,14 +85,76 @@ def test_second_parentless_class_rejected():
         _ont([_cls("root", []), _cls("A", [])])
 
 
-def test_bad_lemma_rejected():
-    with pytest.raises(OntologyError, match="lowercase"):
-        _ont(
-            [
-                _cls("root", []),
-                _cls("A", ["root"], annotations=[{"surface": "Park", "lemmas": ["Park"]}]),
-            ]
-        )
+_NOT_LOWER = "class 'A': lemma {} must be lowercase without whitespace"
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("green park", _NOT_LOWER.format("'green park'")),
+        ("\tpark", _NOT_LOWER.format("'\\tpark'")),
+        ("park\u00a0", _NOT_LOWER.format("'park\\xa0'")),
+        ("a\u2028b", _NOT_LOWER.format("'a\\u2028b'")),
+        ("\u3000", _NOT_LOWER.format("'\\u3000'")),
+        ("park\u001c", _NOT_LOWER.format("'park\\x1c'")),
+        ("", "class 'A': empty lemma token"),
+        (7, "class 'A': empty lemma token"),
+        (None, "class 'A': empty lemma token"),
+        ("Park", _NOT_LOWER.format("'Park'")),
+        ("ǅ", _NOT_LOWER.format("'ǅ'")),  # title-case dz with caron
+        ("ΑΣ", _NOT_LOWER.format("'ΑΣ'")),  # capital alpha, sigma
+    ],
+    ids=["space", "leading-tab", "nbsp", "line-separator", "ideographic-space",
+         "file-separator", "empty", "number", "null", "capital", "title-case", "greek-capitals"],
+)
+def test_bad_lemma_rejected(token, message):
+    # The first bad token is named: a good one goes before it, a capital after.
+    annotation = {"surface": "x", "lemmas": ["old", token, "Zed"]}
+    with pytest.raises(OntologyError) as info:
+        _ont([_cls("root", []), _cls("A", ["root"], annotations=[annotation])])
+    assert str(info.value) == message
+
+
+# Every BMP code point where str.isspace() holds (U+001C..U+001F among them).
+_SPACES = [chr(c) for c in range(0x10000) if chr(c).isspace()]
+
+
+def _lemma_error(lemmas):
+    """The lemma check written token by token and character by character."""
+    for tok in lemmas:
+        if not isinstance(tok, str) or not tok:
+            return "class 'A': empty lemma token"
+        if tok != tok.lower() or any(ch.isspace() for ch in tok):
+            return _NOT_LOWER.format(repr(tok))
+    return None
+
+
+def test_lemma_check_agrees_with_a_per_character_scan():
+    rng = random.Random(20)
+    letters = list("abcz09-é") + ["σ", "ς", "Σ", "A", "ǅ", "İ"]
+    rejected = 0
+    for _ in range(3000):
+        lemmas = []
+        for _ in range(rng.randint(1, 3)):
+            pool = _SPACES if rng.random() < 0.15 else letters
+            lemmas.append("".join(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+        want = _lemma_error(lemmas)
+        annotation = {"surface": "x", "lemmas": lemmas}
+        try:
+            ont = _ont([_cls("root", []), _cls("A", ["root"], annotations=[annotation])])
+        except OntologyError as exc:
+            assert str(exc) == want, lemmas
+            rejected += 1
+        else:
+            assert want is None, lemmas
+            assert ont.classes["A"].annotations[0].lemmas == tuple(lemmas)
+    assert 0 < rejected < 3000
+    for space in _SPACES:  # each whitespace character alone, inside and at either end
+        for tok in (space, "a" + space + "b", space + "a", "a" + space):
+            annotation = {"surface": "x", "lemmas": ["a", tok]}
+            with pytest.raises(OntologyError) as info:
+                _ont([_cls("root", []), _cls("A", ["root"], annotations=[annotation])])
+            assert str(info.value) == _NOT_LOWER.format(repr(tok))
 
 
 def test_parse_error(tmp_path):
@@ -150,7 +213,9 @@ def test_subset_reattaches_orphans_to_root():
     assert subset.classes["C"].parent_ids == frozenset({"root"})
 
 
-def _random_ontology(rng: random.Random, max_classes: int = 50) -> Ontology:
+def _random_ontology(
+    rng: random.Random, max_classes: int = 50, annotated: bool = False
+) -> Ontology:
     n = rng.randint(1, max_classes)
     classes = [_cls("c0", [])]
     for i in range(1, n):
@@ -158,6 +223,10 @@ def _random_ontology(rng: random.Random, max_classes: int = 50) -> Ontology:
         parents = rng.sample([f"c{j}" for j in range(i)], k)
         facet = rng.choice([None, "natural", "artificial", "administrative"])
         classes.append(_cls(f"c{i}", parents, facet=facet))
+    if annotated:  # a label and a phrase of each class's own, so a dropped field shows
+        for c in classes:
+            c["label"] = c["id"].upper()
+            c["annotations"] = [{"surface": c["id"], "lemmas": [c["id"], "x"]}]
     return ontology_from_dict({"root": "c0", "classes": classes})
 
 
@@ -212,3 +281,42 @@ def test_subset_result_is_always_valid():
         subset = subset_by_facet(ont, {"administrative", "artificial"})
         validate_ontology(subset)  # must not raise
         assert subset.root_id == ont.root_id
+
+
+def _subset_by_replace(ont: Ontology, excluded: set[str]) -> Ontology:
+    """The facet subset rebuilt field by field: every kept class is a new copy."""
+    kept = {
+        cid for cid, c in ont.classes.items() if cid == ont.root_id or c.facet_tag not in excluded
+    }
+    classes = {}
+    for cid, cls in ont.classes.items():
+        if cid not in kept:
+            continue
+        if cid == ont.root_id:
+            classes[cid] = cls
+            continue
+        parents = frozenset(p for p in cls.parent_ids if p in kept) or frozenset({ont.root_id})
+        classes[cid] = replace(cls, parent_ids=parents)
+    return Ontology(root_id=ont.root_id, classes=classes)
+
+
+def test_subset_matches_a_field_by_field_rebuild_on_random_dags():
+    facets = ["natural", "artificial", "administrative"]
+    shared = rebuilt = 0
+    for seed in range(200):
+        rng = random.Random(3000 + seed)
+        ont = _random_ontology(rng, max_classes=40, annotated=True)
+        excluded = set(rng.sample(facets, rng.randint(1, 3)))
+        subset = subset_by_facet(ont, excluded)
+        expected = _subset_by_replace(ont, excluded)
+        assert subset == expected
+        assert list(subset.classes) == list(expected.classes)
+        for cid, cls in subset.classes.items():
+            original = ont.classes[cid]
+            if original.parent_ids <= subset.classes.keys():
+                assert cls is original  # all its parents survive: the same object
+                shared += 1
+            else:
+                assert cls is not original
+                rebuilt += 1
+    assert shared > 0 and rebuilt > 0
