@@ -9,7 +9,6 @@ precision and F1 of the suggestions.
 """
 
 from cosuggest.ontology import (
-    AnnotationPhrase,
     OntClass,
     Ontology,
     OntologyError,
@@ -69,7 +68,6 @@ from cosuggest.config import PipelineConfig, config_hash
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotationPhrase",
     "ClusterStats",
     "ConceptCluster",
     "ConceptClusters",

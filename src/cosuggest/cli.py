@@ -5,9 +5,9 @@ whole experiment can run fused through ``eval``.  Provenance (config hash,
 seed, package version) is embedded in the clusters JSON and the JSON
 report; the reduced NDJSON, the graph TSV and an ``eval`` report written
 with ``--out`` carry it in a ``<artifact>.meta.json`` sidecar.  Exit codes:
-0 ok, 1 pipeline error, 2 usage or I/O error.  The batch stages
-(``BATCH_COMMANDS``) run with the cyclic garbage collector paused;
-:func:`main` restores the caller's setting.
+0 ok, 1 pipeline error, 2 usage or I/O error.  Every subcommand runs with
+the cyclic garbage collector paused, as none makes cyclic garbage in
+proportion to its input; :func:`main` restores the caller's setting.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ from cosuggest.log_pipeline import read_reduced_ndjson, write_reduced_ndjson
 from cosuggest.matching import match_query
 from cosuggest.ontology import OntologyError, compute_metrics, load_ontology, subset_by_facet
 from cosuggest.suggestion import Strategy, suggest
-
-
-# None of these makes cyclic garbage in proportion to its input, so a
-# collection would only walk the loaded dataset again and again.
-BATCH_COMMANDS = frozenset({"reduce", "graph", "cluster", "eval"})
 
 
 class UsageError(Exception):
@@ -325,8 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     stage = args.command
     gc_was_enabled = gc.isenabled()
-    if stage in BATCH_COMMANDS:
-        gc.disable()
+    gc.disable()  # a collection would only walk the loaded input again and again
     try:
         return args.handler(args, _config_from_args(args))
     except (UsageError, OSError) as exc:

@@ -125,9 +125,10 @@ class ConceptMatcher:
         The phrases that one class alone owns share one set, its owner set;
         a phrase several classes own gets a set of its own.  A lexicon entry
         for the root, which is never indexed, or for an undefined class
-        raises ``ValueError``.  Classes with neither annotations nor an
-        indexed lexicon phrase, matchable through their label only, are
-        reported at warning level.
+        raises ``ValueError``.  Classes with no annotation or lexicon phrase
+        that normalizes to a token, matchable through their label only, are
+        reported at warning level, and those whose label normalizes to no
+        token either, which can never match, in a second warning.
         """
         lexicon = lexicon or {}
         unknown = sorted(set(lexicon) - set(ont.classes))
@@ -139,6 +140,7 @@ class ConceptMatcher:
             )
         index: dict[tuple[str, ...], frozenset[str]] = {}
         unannotated: set[str] = set()
+        unmatchable: set[str] = set()
 
         def add(text: str, owner: frozenset[str]) -> bool:
             phrase = tuple(normalize(text))
@@ -151,19 +153,19 @@ class ConceptMatcher:
             if c.id == ont.root_id:
                 continue
             owner = frozenset((c.id,))  # shared by the phrases only this class owns
-            for ann in c.annotations:
-                add(" ".join(ann.lemmas), owner)
-            indexed = [add(surface, owner) for surface in lexicon.get(c.id, ())]
-            if not c.annotations and not any(indexed):
-                unannotated.add(c.id)
-            add(c.label, owner)
+            indexed = False  # whether an annotation or lexicon phrase has a token
+            for text in (*map(" ".join, c.annotations), *lexicon.get(c.id, ())):
+                indexed = add(text, owner) or indexed
+            label_indexed = add(c.label, owner)
+            if not indexed:
+                (unannotated if label_indexed else unmatchable).add(c.id)
 
-        if unannotated:
-            log.warning(
-                "%d classes have no annotations and match through labels only: %s",
-                len(unannotated),
-                ", ".join(sorted(unannotated)),
-            )
+        for ids, what in (
+            (unannotated, "have no annotations and match through labels only"),
+            (unmatchable, "can never match, as not even their label normalizes to a token"),
+        ):
+            if ids:
+                log.warning("%d classes %s: %s", len(ids), what, ", ".join(sorted(ids)))
         return cls(index=index)
 
 

@@ -2,7 +2,8 @@
 
 An ontology is a rooted DAG of classes.  Each class may carry a facet tag
 (e.g. "natural", "artificial", "administrative") and a list of annotation
-phrases whose lemma sequences drive query-to-concept matching.
+phrases whose lemma sequences drive query-to-concept matching.  The loader
+checks each phrase's ``surface`` but keeps only its lemmas.
 
 File format (UTF-8 JSON, ids case-sensitive)::
 
@@ -36,19 +37,11 @@ class OntologyError(ValueError):
 
 
 @dataclass(frozen=True)
-class AnnotationPhrase:
-    """A phrase attached to a class: original surface form plus its lemma tokens."""
-
-    surface: str
-    lemmas: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class OntClass:
     id: str
     label: str
     parent_ids: frozenset[str]
-    annotations: tuple[AnnotationPhrase, ...] = ()
+    annotations: tuple[tuple[str, ...], ...] = ()
     facet_tag: str | None = None
 
 
@@ -85,12 +78,11 @@ class OntologyMetrics:
     mean_node_degree: float
 
 
-def _parse_annotation(raw: object, class_id: str) -> AnnotationPhrase:
+def _parse_annotation(raw: object, class_id: str) -> tuple[str, ...]:
     if not isinstance(raw, dict):
         raise OntologyError(f"class {class_id!r}: annotation must be an object")
-    surface = raw.get("surface")
     lemmas = raw.get("lemmas")
-    if not isinstance(surface, str):
+    if not isinstance(raw.get("surface"), str):
         raise OntologyError(f"class {class_id!r}: annotation surface must be a string")
     if not isinstance(lemmas, list) or not lemmas:
         raise OntologyError(f"class {class_id!r}: annotation lemmas must be a non-empty list")
@@ -101,13 +93,17 @@ def _parse_annotation(raw: object, class_id: str) -> AnnotationPhrase:
     joined = " ".join(map(str, lemmas))
     if joined.split() != lemmas or joined != joined.lower():
         for tok in lemmas:
-            if not isinstance(tok, str) or not tok:
+            if not isinstance(tok, str):
+                raise OntologyError(
+                    f"class {class_id!r}: lemma {tok!r} must be a non-empty string"
+                )
+            if not tok:
                 raise OntologyError(f"class {class_id!r}: empty lemma token")
             if tok != tok.lower() or any(ch.isspace() for ch in tok):
                 raise OntologyError(
                     f"class {class_id!r}: lemma {tok!r} must be lowercase without whitespace"
                 )
-    return AnnotationPhrase(surface, tuple(lemmas))
+    return tuple(lemmas)
 
 
 def ontology_from_dict(payload: object) -> Ontology:
@@ -200,7 +196,9 @@ def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -
     """Drop classes whose facet tag is excluded; keep the root unconditionally.
 
     Kept classes that lose all their parents are reattached directly to the
-    root, so every surviving subtree stays reachable and matchable.
+    root, so every surviving subtree stays reachable and matchable.  ``ont``
+    must be valid, as :func:`load_ontology` returns it; the subset of a valid
+    ontology is valid by construction, so it is not checked again.
     """
     if not excluded_facets:
         return ont
@@ -218,9 +216,7 @@ def subset_by_facet(ont: Ontology, excluded_facets: set[str] | frozenset[str]) -
             if parents != cls.parent_ids:  # a class whose parents all stay is kept as is
                 cls = OntClass(cid, cls.label, parents, cls.annotations, cls.facet_tag)
         classes[cid] = cls
-    result = Ontology(root_id=ont.root_id, classes=classes)
-    validate_ontology(result)
-    return result
+    return Ontology(root_id=ont.root_id, classes=classes)
 
 
 def compute_metrics(ont: Ontology) -> OntologyMetrics:

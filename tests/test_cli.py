@@ -836,17 +836,17 @@ def test_main_leaves_a_disabled_gc_disabled(gc_state, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "handler, argv, collects",
+    "handler, argv",
     [
-        ("cmd_reduce", ["reduce"], False),
-        ("cmd_graph", ["graph"], False),
-        ("cmd_cluster", ["cluster"], False),
-        ("cmd_eval", ["eval"], False),
-        ("cmd_suggest", ["suggest", "--query", "parks"], True),
-        ("cmd_ont_metrics", ["ont-metrics"], True),
+        ("cmd_reduce", ["reduce"]),
+        ("cmd_graph", ["graph"]),
+        ("cmd_cluster", ["cluster"]),
+        ("cmd_eval", ["eval"]),
+        ("cmd_suggest", ["suggest", "--query", "parks"]),
+        ("cmd_ont_metrics", ["ont-metrics"]),
     ],
 )
-def test_only_batch_handlers_run_with_gc_paused(gc_state, monkeypatch, handler, argv, collects):
+def test_every_handler_runs_with_gc_paused(gc_state, monkeypatch, handler, argv):
     seen = []
 
     def spy(args, config):
@@ -855,12 +855,12 @@ def test_only_batch_handlers_run_with_gc_paused(gc_state, monkeypatch, handler, 
 
     monkeypatch.setattr(cosuggest.cli, handler, spy)
     assert main(argv) == 0
-    assert seen == [collects]
+    assert seen == [False]
     assert gc.isenabled()
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_library_calls_keep_the_callers_gc_state(gc_state, enabled):
+def test_library_calls_keep_the_callers_gc_state(gc_state, tmp_path, enabled):
     if not enabled:
         gc.disable()
     config = PipelineConfig(
@@ -872,6 +872,17 @@ def test_library_calls_keep_the_callers_gc_state(gc_state, enabled):
     ds = cosuggest.evaluation.reduce_from_config(config)
     assert gc.isenabled() is enabled
     cosuggest.evaluation.run_experiment_on_dataset(ds, config)
+    assert gc.isenabled() is enabled
+    # The online path: what `suggest` loads before it answers.
+    ont = cosuggest.load_ontology(config.ontology_path)
+    assert gc.isenabled() is enabled
+    ont = cosuggest.subset_by_facet(ont, {"administrative"})
+    assert gc.isenabled() is enabled
+    cosuggest.ConceptMatcher.from_ontology(ont)
+    assert gc.isenabled() is enabled
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text('{"clusters": [{"id": 0, "members": ["park"]}]}', encoding="utf-8")
+    cosuggest.read_clusters_json(clusters)
     assert gc.isenabled() is enabled
 
 
@@ -887,13 +898,34 @@ def _seeded_log(path, seed, n_rows):
     write_log(path, rows)
 
 
+def _seeded_ontology(path, seed, n_extra):
+    """The demo ontology plus ``n_extra`` random classes under it, each with
+    phrases of its own, so the demo queries match what they matched before."""
+    payload = json.loads((DATA / "city_ontology.json").read_text(encoding="utf-8"))
+    classes = payload["classes"]
+    rng = random.Random(seed)
+    for i in range(n_extra):
+        parents = rng.sample([c["id"] for c in classes[-200:]], rng.randint(1, 2))
+        classes.append({
+            "id": f"x{i}", "label": f"Extra {i}", "parents": parents,
+            "facet": rng.choice([None, "natural", "artificial", "administrative"]),
+            "annotations": [{"surface": f"x{i} y", "lemmas": [f"x{i}", "y"]}],
+        })
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 def test_batch_stages_leave_no_garbage_that_grows_with_input(gc_state, tmp_path, capsys):
     """With the collector paused, what a stage leaves for it must not scale."""
 
-    def garbage_per_stage(log, workdir):
+    def garbage_per_stage(log, ontology, workdir):
         workdir.mkdir()
+        argvs = _stage_argvs(log, workdir)
+        argvs["suggest"] = ["suggest", "--ontology", str(ontology), "--lexicon",
+                            str(DATA / "lexicon.json"), "--clusters",
+                            str(workdir / "clusters.json"), "--query", "parks and playgrounds"]
+        argvs["ont-metrics"] = ["ont-metrics", "--ontology", str(ontology)]
         found = {}
-        for command, argv in _stage_argvs(log, workdir).items():
+        for command, argv in argvs.items():
             gc.collect()
             gc.disable()
             try:
@@ -904,9 +936,16 @@ def test_batch_stages_leave_no_garbage_that_grows_with_input(gc_state, tmp_path,
         sessions = len((workdir / "reduced.ndjson").read_text(encoding="utf-8").splitlines())
         return found, sessions
 
-    small, small_sessions = garbage_per_stage(DATA / "search_log.tsv", tmp_path / "demo")
-    big_log = tmp_path / "big.tsv"
+    demo_ontology = DATA / "city_ontology.json"
+    small, small_sessions = garbage_per_stage(
+        DATA / "search_log.tsv", demo_ontology, tmp_path / "demo"
+    )
+    big_log, big_ontology = tmp_path / "big.tsv", tmp_path / "big_ontology.json"
     _seeded_log(big_log, seed=5, n_rows=400)
-    big, big_sessions = garbage_per_stage(big_log, tmp_path / "big")
+    _seeded_ontology(big_ontology, seed=5, n_extra=1000)
+    big, big_sessions = garbage_per_stage(big_log, big_ontology, tmp_path / "big")
     assert big_sessions >= 4 * small_sessions
+    n_classes = [len(json.loads(p.read_text(encoding="utf-8"))["classes"])
+                 for p in (demo_ontology, big_ontology)]
+    assert n_classes[1] >= 50 * n_classes[0]
     assert big == small

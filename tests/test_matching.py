@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,10 +9,11 @@ from cosuggest.matching import (
     _NOTHING,
     ConceptMatcher,
     _strip_suffix,
+    load_lexicon,
     match_query,
     normalize,
 )
-from cosuggest.ontology import ontology_from_dict
+from cosuggest.ontology import load_ontology, ontology_from_dict
 
 
 def _matcher(phrase_map: dict[tuple[str, ...], set[str]]) -> ConceptMatcher:
@@ -154,26 +156,45 @@ def test_multiple_phrases_same_class(city_ontology):
 
 
 def test_unannotated_classes_reported(caplog):
+    greek = [{"surface": "Πάρκο", "lemmas": ["πάρκο"]}]  # normalizes to no token
     ont = ontology_from_dict(
         {
             "root": "root",
             "classes": [
                 {"id": "root", "label": "root", "parents": [], "annotations": []},
                 {"id": "bare", "label": "Bare", "parents": ["root"], "annotations": []},
+                {"id": "greek", "label": "Greek", "parents": ["root"], "annotations": greek},
+                {"id": "never", "label": "Πάρκο", "parents": ["root"], "annotations": greek},
             ],
         }
     )
     with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
         index = ConceptMatcher.from_ontology(ont).index
-    assert "bare" in caplog.text
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 classes have no annotations and match through labels only: bare, greek",
+        "1 classes can never match, as not even their label normalizes to a token: never",
+    ]
     # The label is still indexed, so the class remains matchable.
     assert index[("bare",)] == frozenset({"bare"})
+    assert index[("greek",)] == frozenset({"greek"})
+    assert all("never" not in ids for ids in index.values())
     # A lexicon phrase makes the class annotated; one that normalizes to nothing does not.
     for lexicon, warned in (({"bare": ["!!"]}, True), ({"bare": ["plain"]}, False)):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
             ConceptMatcher.from_ontology(ont, lexicon)
         assert ("bare" in caplog.text) is warned
+
+
+def test_demo_ontology_warnings_pinned(caplog):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "data"
+    ont = load_ontology(demo / "city_ontology.json")
+    with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
+        ConceptMatcher.from_ontology(ont, load_lexicon(demo / "lexicon.json"))
+    assert [r.getMessage() for r in caplog.records] == [
+        "5 classes have no annotations and match through labels only: "
+        "admin_area, commerce, culture_venue, eating_place, water_feature"
+    ]
 
 
 def test_stored_lemmas_normalized_at_index_time(city_ontology):
@@ -240,7 +261,7 @@ def _brute_force_index(ont, lexicon):
     for c in ont.classes.values():
         if c.id == ont.root_id:
             continue
-        texts = [" ".join(a.lemmas) for a in c.annotations] + lexicon.get(c.id, []) + [c.label]
+        texts = [" ".join(a) for a in c.annotations] + lexicon.get(c.id, []) + [c.label]
         for text in texts:
             phrase = tuple(normalize(text))
             if phrase:

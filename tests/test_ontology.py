@@ -98,8 +98,8 @@ _NOT_LOWER = "class 'A': lemma {} must be lowercase without whitespace"
         ("\u3000", _NOT_LOWER.format("'\\u3000'")),
         ("park\u001c", _NOT_LOWER.format("'park\\x1c'")),
         ("", "class 'A': empty lemma token"),
-        (7, "class 'A': empty lemma token"),
-        (None, "class 'A': empty lemma token"),
+        (7, "class 'A': lemma 7 must be a non-empty string"),
+        (None, "class 'A': lemma None must be a non-empty string"),
         ("Park", _NOT_LOWER.format("'Park'")),
         ("ǅ", _NOT_LOWER.format("'ǅ'")),  # title-case dz with caron
         ("ΑΣ", _NOT_LOWER.format("'ΑΣ'")),  # capital alpha, sigma
@@ -122,7 +122,9 @@ _SPACES = [chr(c) for c in range(0x10000) if chr(c).isspace()]
 def _lemma_error(lemmas):
     """The lemma check written token by token and character by character."""
     for tok in lemmas:
-        if not isinstance(tok, str) or not tok:
+        if not isinstance(tok, str):
+            return f"class 'A': lemma {tok!r} must be a non-empty string"
+        if not tok:
             return "class 'A': empty lemma token"
         if tok != tok.lower() or any(ch.isspace() for ch in tok):
             return _NOT_LOWER.format(repr(tok))
@@ -147,7 +149,7 @@ def test_lemma_check_agrees_with_a_per_character_scan():
             rejected += 1
         else:
             assert want is None, lemmas
-            assert ont.classes["A"].annotations[0].lemmas == tuple(lemmas)
+            assert ont.classes["A"].annotations[0] == tuple(lemmas)
     assert 0 < rejected < 3000
     for space in _SPACES:  # each whitespace character alone, inside and at either end
         for tok in (space, "a" + space + "b", space + "a", "a" + space):
