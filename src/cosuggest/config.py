@@ -110,7 +110,7 @@ def load_config_file(path: str | Path) -> dict:
     if stripped.startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"cannot parse config file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError(f"config file {path} must contain a JSON object")

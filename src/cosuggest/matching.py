@@ -80,7 +80,7 @@ def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Load a synonym lexicon: JSON object mapping class id to phrase list."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
         raise ValueError(f"cannot parse lexicon file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"lexicon {path} must be a JSON object")
@@ -161,7 +161,11 @@ class ConceptMatcher:
                 (unannotated if label_indexed else unmatchable).add(c.id)
 
         for ids, what in (
-            (unannotated, "have no annotations and match through labels only"),
+            (
+                unannotated,
+                "match through labels only, as no annotation or lexicon phrase of theirs"
+                " normalizes to a token",
+            ),
             (unmatchable, "can never match, as not even their label normalizes to a token"),
         ):
             if ids:

@@ -184,7 +184,7 @@ def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology JSON file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
         raise OntologyError(f"cannot parse ontology file {path}: {exc}") from exc
     try:
         return ontology_from_dict(payload)

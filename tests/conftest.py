@@ -1,8 +1,9 @@
-"""Shared fixtures: a small geographic ontology, query-log builders and a
-per-session scoring oracle."""
+"""Shared fixtures: a small geographic ontology, query-log builders, a
+per-session scoring oracle and a per-line reduced-file reader."""
 
 from __future__ import annotations
 
+import json
 import random
 from collections.abc import Sequence
 from datetime import datetime, timedelta
@@ -13,7 +14,7 @@ import pytest
 
 from cosuggest.copra import ConceptClusters
 from cosuggest.evaluation import FoldMetrics, LengthF1, _context_and_truth, _score_columns
-from cosuggest.log_pipeline import ReducedDataset, SearchSession
+from cosuggest.log_pipeline import ReducedDataset, SearchSession, _session_from_json
 from cosuggest.ontology import Ontology, ontology_from_dict
 from cosuggest.suggestion import Strategy, suggest
 
@@ -115,6 +116,44 @@ def write_log(path, rows: list[tuple[str, str, str, str, str]]) -> None:
     lines = ["AnonID\tQuery\tQueryTime\tItemRank\tClickURL"]
     lines += ["\t".join(row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Two reduced-file lines that are each malformed ("Extra data", then a lone
+# query) but that, joined into one JSON array, would read as two valid sessions.
+TWO_LINE_MERGE = (
+    '{"queries": [{"concepts": ["park"], "text": "a", "ts": "2006-03-01 09:00:00"}],'
+    ' "session_id": "u1#1", "user": "u1"}, {"session_id": "u2#1", "user": "u2",'
+    ' "queries": [{"concepts": ["park"], "text": "b", "ts": "2006-03-01 09:01:00"}',
+    '{"concepts": [], "text": "c", "ts": "2006-03-01 09:05:00"}]}',
+)
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the json decoder's recursion limit
+
+
+def read_reduced_per_line(path) -> ReducedDataset:
+    """The reduced-file reader one line at a time: ``json.loads`` and the
+    per-session checks of :func:`_session_from_json` on each line in turn.
+    The oracle for ``read_reduced_ndjson``'s chunked fast path: its sessions,
+    its string and concept-set sharing, or its exact ``path:line`` message."""
+    sessions: list[SearchSession] = []
+    seen: set[str] = set()
+    interned: dict[tuple[str, ...], frozenset[str]] = {}
+    strings: dict[str, str] = {}
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                session = _session_from_json(json.loads(line), interned, strings)
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if session.session_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate session_id {session.session_id!r}")
+            seen.add(session.session_id)
+            sessions.append(session)
+    return ReducedDataset(sessions)
 
 
 def topic_dataset(

@@ -18,7 +18,7 @@ from cosuggest.config import (
     resolve_config,
 )
 
-from conftest import CITY_ONTOLOGY, write_log
+from conftest import CITY_ONTOLOGY, DEEP_JSON, TWO_LINE_MERGE, write_log
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -427,6 +427,13 @@ def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     assert f"cannot read config file {not_utf8}: 'utf-8' codec" in capsys.readouterr().err
 
 
+def test_deeply_nested_config_file_exits_2(log_file, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"seed": ' + DEEP_JSON + "}", encoding="utf-8")
+    assert main(["eval", "--config", str(deep), "--log", str(log_file)]) == 2
+    assert f"cannot parse config file {deep}: " in capsys.readouterr().err
+
+
 def test_usage_error_on_bad_flag_value(ontology_file):
     # argparse exits the process directly with the usage exit code
     with pytest.raises(SystemExit) as excinfo:
@@ -720,6 +727,37 @@ def _with_class(*extra):
              "--clusters", "{tmp}/clusters.json", "--lexicon"],
             ": lexicon references undefined classes: ['gone', 'nope']",
         ),
+        (
+            "two_line_merge.ndjson",
+            "".join(line + "\n" for line in TWO_LINE_MERGE),
+            ["eval", "--folds", "2", "--reduced"],
+            ":1: Extra data",
+        ),
+        (
+            "deep.ndjson",
+            GOOD_SESSION + "\n" + DEEP_JSON + "\n",
+            ["eval", "--folds", "2", "--reduced"],
+            ":2: ",
+        ),
+        (
+            "deep_clusters.json",
+            DEEP_JSON,
+            ["suggest", "--ontology", "{ontology}", "--query", "park", "--clusters"],
+            ": top level: ",
+        ),
+        (
+            "deep_ontology.json",
+            DEEP_JSON,
+            ["ont-metrics", "--ontology"],
+            ("cannot parse ontology file {path}: ",),
+        ),
+        (
+            "deep_lexicon.json",
+            '{"park": ' + DEEP_JSON + "}",
+            ["reduce", "--ontology", "{ontology}", "--log", "{data}/search_log.tsv",
+             "--out", "{tmp}/reduced.ndjson", "--lexicon"],
+            ("cannot parse lexicon file {path}: ",),
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -760,6 +798,11 @@ def _with_class(*extra):
         "ontology-dangling-parent",
         "lexicon-maps-the-root",
         "lexicon-undefined-classes",
+        "reduced-two-line-merge",
+        "reduced-deep-nesting",
+        "clusters-deep-nesting",
+        "ontology-deep-nesting",
+        "lexicon-deep-nesting",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(

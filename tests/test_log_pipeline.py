@@ -19,7 +19,14 @@ from cosuggest.log_pipeline import (
 )
 from cosuggest.matching import _NOTHING, ConceptMatcher, match_query
 
-from conftest import make_dataset, make_records, write_log
+from conftest import (
+    DEEP_JSON,
+    TWO_LINE_MERGE,
+    make_dataset,
+    make_records,
+    read_reduced_per_line,
+    write_log,
+)
 
 GAP_30 = timedelta(minutes=30)
 
@@ -559,3 +566,209 @@ def test_ndjson_bytes_deterministic(tally_log, city_ontology, tmp_path):
     write_reduced_ndjson(ds, a)
     write_reduced_ndjson(ds, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ------------------------------------- chunked reduced reader against oracle
+
+CHUNK = cosuggest.log_pipeline._CHUNK_LINES
+WRONG_VALUES = (7, None, True, 1.5, "x", "", [], {}, ["park"], [3], {"text": "park"})
+ODD_STAMPS = (
+    "2006-13-01 09:00:00",
+    "2006-03-01T09:00:00",
+    "2006-3-1 9:0:0",  # strptime alone accepts this one
+    "2006-03-01 09:00:00.5",
+    "2006-03-01 09:00:60",
+    "2006-03-01 9:00:00 ",
+    "\uff12\uff10\uff10\uff16-03-01 09:00:00",
+    "0000-01-01 00:00:00",
+    "",
+)
+
+
+def _session_payload(rng, number):
+    return {
+        "session_id": f"s#{number}",
+        "user": rng.choice(("u1", "u22", "caf\u00e9")),
+        "queries": [
+            {
+                "text": rng.choice(NEARLY_EQUAL_TEXTS + ["beach"]),
+                "ts": _ts(rng.randrange(60)),
+                "concepts": rng.sample(("park", "beach", "a\tb", "museum"), rng.randint(0, 2)),
+            }
+            for _ in range(rng.randint(1, 3))
+        ],
+    }
+
+
+def _line(payload) -> bytes:
+    return json.dumps(payload).encode() + b"\n"
+
+
+def _missing_key(rng, lines, at):
+    payload = json.loads(lines[at])
+    key = rng.choice(("session_id", "user", "queries", "text", "ts", "concepts"))
+    del (payload if key in payload else rng.choice(payload["queries"]))[key]
+    lines[at] = _line(payload)
+
+
+# The JSON type that each place in a session line must hold.
+EXPECTED_TYPES = {
+    "line": dict,
+    "session_id": str,
+    "user": str,
+    "queries": list,
+    "query": dict,
+    "text": str,
+    "ts": str,
+    "concepts": list,
+    "concept": str,
+}
+
+
+def _wrong_type(rng, lines, at):
+    payload = json.loads(lines[at])
+    target = rng.choice(list(EXPECTED_TYPES))
+    value = rng.choice([v for v in WRONG_VALUES if type(v) is not EXPECTED_TYPES[target]])
+    query = rng.choice(payload["queries"])
+    if target == "line":
+        payload = value
+    elif target in ("session_id", "user", "queries"):
+        payload[target] = value
+    elif target == "query":
+        payload["queries"][0] = value
+    elif target == "concept":
+        query["concepts"].append(value)
+    else:
+        query[target] = value
+    lines[at] = _line(payload)
+
+
+def _no_queries(rng, lines, at):
+    payload = json.loads(lines[at])
+    payload["queries"] = rng.choice(([], {}, ""))
+    lines[at] = _line(payload)
+
+
+def _bad_stamp(rng, lines, at):
+    payload = json.loads(lines[at])
+    rng.choice(payload["queries"])["ts"] = rng.choice(ODD_STAMPS)
+    lines[at] = _line(payload)
+
+
+def _duplicate_id(rng, lines, at):
+    payload = json.loads(lines[at])
+    other = rng.choice([i for i in range(len(lines)) if i != at])
+    payload["session_id"] = json.loads(lines[other])["session_id"]
+    lines[at] = _line(payload)
+
+
+def _blank(rng, lines, at):
+    lines[at] = rng.choice((b"\n", b"   \n", b"\t \r\n", b"\r\n", b"\x0c\n"))
+
+
+def _crlf(rng, lines, at):
+    lines[at] = rng.choice((b"", b" ", b"\t")) + lines[at].rstrip(b"\n") + b"\r\n"
+
+
+def _bom(rng, lines, at):
+    lines[at] = b"\xef\xbb\xbf" + lines[at]
+
+
+def _not_utf8(rng, lines, at):
+    bad = rng.choice((b"\xff", b"\xc3(", b"\xed\xa0\x80"))
+    lines[at] = lines[at].replace(b'"text": "', b'"text": "' + bad, 1)
+
+
+def _deep(rng, lines, at):
+    payload = json.loads(lines[at])
+    rng.choice(payload["queries"])["concepts"] = "DEEP"
+    deep = (DEEP_JSON, json.dumps(payload).replace('"DEEP"', DEEP_JSON))
+    lines[at] = rng.choice(deep).encode() + b"\n"
+
+
+def _two_line_merge(rng, lines, at):
+    at = min(at, len(lines) - 2)
+    lines[at : at + 2] = [line.encode() + b"\n" for line in TWO_LINE_MERGE]
+
+
+MUTATIONS = {
+    "missing-key": _missing_key,
+    "wrong-type": _wrong_type,
+    "no-queries": _no_queries,
+    "bad-stamp": _bad_stamp,
+    "duplicate-id": _duplicate_id,
+    "blank-line": _blank,
+    "crlf": _crlf,
+    "bom": _bom,
+    "not-utf8": _not_utf8,
+    "deep-nesting": _deep,
+    "two-line-merge": _two_line_merge,
+}
+
+
+def _sharing(values):
+    """Each value's first position among the values that are the same object."""
+    first = {}
+    return [first.setdefault(id(value), i) for i, value in enumerate(values)]
+
+
+def _assert_reads_as_oracle(path):
+    try:
+        expected = read_reduced_per_line(path).sessions
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_reduced_ndjson(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_reduced_ndjson(path).sessions
+
+    def fields(s):
+        return s.session_id, s.user_id, s.texts, s.timestamps, s.concepts
+
+    assert list(map(fields, got)) == list(map(fields, expected))
+    for column in (lambda s: (s.user_id, *s.texts), lambda s: s.concepts):
+        assert _sharing([v for s in got for v in column(s)]) == _sharing(
+            [v for s in expected for v in column(s)]
+        )
+
+
+@pytest.fixture
+def per_line_calls(monkeypatch):
+    """Counts the sessions that the reduced reader checks one line at a time."""
+    calls = []
+    per_line = cosuggest.log_pipeline._session_from_json
+
+    def counted(*args):
+        calls.append(None)
+        return per_line(*args)
+
+    monkeypatch.setattr(cosuggest.log_pipeline, "_session_from_json", counted)
+    return calls
+
+
+@pytest.mark.parametrize("position", ["first", "chunk-end", "chunk-start", "last"])
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_chunked_reader_matches_per_line_oracle(tmp_path, per_line_calls, mutation, position):
+    for seed in range(7):  # 308 files over the 44 cases
+        rng = random.Random(f"{mutation}/{position}/{seed}")
+        lines = [_line(_session_payload(rng, i)) for i in range(rng.randint(CHUNK + 2, 2 * CHUNK + 2))]
+        at = {"first": 0, "chunk-end": CHUNK - 1, "chunk-start": CHUNK, "last": len(lines) - 1}
+        MUTATIONS[mutation](rng, lines, at[position])
+        if rng.random() < 0.25:
+            lines[-1] = lines[-1].rstrip(b"\n")
+        path = tmp_path / f"{seed}.ndjson"
+        path.write_bytes(b"".join(lines))
+        per_line_calls.clear()
+        _assert_reads_as_oracle(path)
+        # Only the chunks that hold the mutation are read line by line.
+        assert len(per_line_calls) <= 2 * CHUNK
+
+
+def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, per_line_calls):
+    rng = random.Random(3)
+    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK):
+        path = tmp_path / f"{n}.ndjson"
+        path.write_bytes(b"".join(_line(_session_payload(rng, i)) for i in range(n)))
+        _assert_reads_as_oracle(path)
+        assert len(read_reduced_ndjson(path).sessions) == n
+    assert per_line_calls == []

@@ -171,7 +171,8 @@ def test_unannotated_classes_reported(caplog):
     with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
         index = ConceptMatcher.from_ontology(ont).index
     assert [r.getMessage() for r in caplog.records] == [
-        "2 classes have no annotations and match through labels only: bare, greek",
+        "2 classes match through labels only, as no annotation or lexicon phrase of theirs"
+        " normalizes to a token: bare, greek",
         "1 classes can never match, as not even their label normalizes to a token: never",
     ]
     # The label is still indexed, so the class remains matchable.
@@ -192,8 +193,8 @@ def test_demo_ontology_warnings_pinned(caplog):
     with caplog.at_level(logging.WARNING, logger="cosuggest.matching"):
         ConceptMatcher.from_ontology(ont, load_lexicon(demo / "lexicon.json"))
     assert [r.getMessage() for r in caplog.records] == [
-        "5 classes have no annotations and match through labels only: "
-        "admin_area, commerce, culture_venue, eating_place, water_feature"
+        "5 classes match through labels only, as no annotation or lexicon phrase of theirs"
+        " normalizes to a token: admin_area, commerce, culture_venue, eating_place, water_feature"
     ]
 
 
