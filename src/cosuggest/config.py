@@ -13,11 +13,13 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from datetime import timedelta
 from pathlib import Path
 
 ENV_PREFIX = "COSUGGEST_"
 PRECISION_POLICIES = ("exclude", "zero", "one")
 REPORT_FORMATS = ("json", "csv")
+MAX_GAP_MINUTES = timedelta.max // timedelta(minutes=1)  # the longest gap a timedelta holds
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.gap_minutes <= 0:
             raise ValueError("gap_minutes must be positive")
+        if self.gap_minutes > MAX_GAP_MINUTES:
+            raise ValueError(f"gap_minutes must be at most {MAX_GAP_MINUTES}")
         if self.prune_min_weight < 1:
             raise ValueError("prune_min_weight must be >= 1")
         if self.copra_v < 1:
@@ -102,7 +106,7 @@ def _coerce(key: str, value: object) -> object:
 def load_config_file(path: str | Path) -> dict:
     """Parse a JSON object or flat ``key=value`` lines into config values."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     stripped = text.lstrip()

@@ -6,6 +6,7 @@ both endpoint concepts were referenced (anywhere within the session).
 
 from __future__ import annotations
 
+from codecs import BOM_UTF8
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -112,9 +113,12 @@ def write_graph_tsv(g: CooccurrenceGraph, path: str | Path) -> None:
 def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
     """Inverse of :func:`write_graph_tsv`; a malformed line (bytes that are
     not UTF-8 included) or a pair listed twice (in either order) raises
-    ``ValueError`` naming ``path:line``."""
+    ``ValueError`` naming ``path:line``.  A leading UTF-8 byte order mark is
+    dropped."""
     graph = CooccurrenceGraph()
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
+        if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
+            handle.read(len(BOM_UTF8))
         for lineno, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")

@@ -225,7 +225,7 @@ def read_clusters_json(path: str | Path) -> tuple[ConceptClusters, dict]:
     """
     where = "top level"
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
         raise ValueError(f"{path}: {where}: {exc}") from exc
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -244,58 +245,9 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _concept_set(raw: object, interned: dict[tuple[str, ...], frozenset[str]]) -> frozenset[str]:
-    if not isinstance(raw, list):
-        raise ValueError("concepts must be a list")
-    try:
-        "".join(raw)  # one pass in C over the list, failing on a non-string
-    except TypeError:
-        raise ValueError(f"concepts must be strings, got {raw!r}") from None
-    key = tuple(raw)
-    concepts = interned.get(key)
-    if concepts is None:
-        concepts = interned[key] = frozenset(raw)
-    return concepts
-
-
-def _session_from_json(
-    payload: dict,
-    interned: dict[tuple[str, ...], frozenset[str]],
-    strings: dict[str, str],
-) -> SearchSession:
-    if type(payload) is not dict:
-        raise ValueError("session must be a JSON object")
-    for key in ("session_id", "user"):
-        if not isinstance(payload[key], str):
-            raise ValueError(f"{key} must be a string, got {payload[key]!r}")
-    queries = payload["queries"]
-    if type(queries) is not list:
-        raise ValueError("queries must be a list")
-    if not queries:
-        raise ValueError("session has no queries")
-    try:
-        texts = [q["text"] for q in queries]
-    except TypeError:
-        raise ValueError("each query must be a JSON object") from None
-    try:
-        "".join(texts)  # one pass in C over the texts, failing on a non-string
-    except TypeError:
-        raise ValueError(f"query texts must be strings, got {texts!r}") from None
-    timestamps = tuple([parse_timestamp(q["ts"]) for q in queries])
-    concepts = tuple([_concept_set(q["concepts"], interned) for q in queries])
-    share = strings.setdefault
-    return SearchSession(
-        payload["session_id"],
-        share(payload["user"], payload["user"]),
-        tuple(map(share, texts, texts)),
-        timestamps,
-        concepts,
-    )
-
-
-# Lines per fast-path chunk of the reduced reader.  One decoded chunk is held at
-# a time: chunks of 100 lines raise the peak memory of an eval run by about
-# 0.25 MiB over reading line by line, chunks of 1,000 by about 0.9 MiB.
+# Lines per chunk of the reduced reader.  One decoded chunk is held at a time:
+# chunks of 100 lines raise the peak memory of an eval run by about 0.25 MiB
+# over reading line by line, chunks of 1,000 by about 0.9 MiB.
 _CHUNK_LINES = 100
 # The json module's own C scanner: for a stripped line, scanning one value that
 # ends at the line's end succeeds exactly when ``json.loads`` does, with the
@@ -306,55 +258,90 @@ _scan_json = json.JSONDecoder().scan_once
 _STAMP_SEPARATORS = ((4, "-"), (7, "-"), (10, " "), (13, ":"), (16, ":"))
 
 
+def _string_column(rows: list[dict], key: str) -> list[str]:
+    """``row[key]`` of each row; each must be a string."""
+    column = list(map(itemgetter(key), rows))
+    try:
+        "".join(column)  # one pass in C, failing on a non-string
+    except TypeError:
+        bad = next(value for value in column if type(value) is not str)
+        raise ValueError(f"{key} must be a string, got {bad!r}") from None
+    return column
+
+
+def _parse_stamps(stamps: list) -> tuple[datetime, ...]:
+    """``parse_timestamp`` of each stamp, through one ``datetime.fromisoformat``
+    pass when every stamp has the ``YYYY-MM-DD HH:MM:SS`` shape."""
+    try:
+        joined = "".join(stamps)
+        if {19}.issuperset(map(len, stamps)) and all(
+            joined[offset::19] == separator * len(stamps)
+            for offset, separator in _STAMP_SEPARATORS
+        ):
+            return tuple(map(datetime.fromisoformat, stamps))
+    except (TypeError, ValueError):  # a stamp that is not a string, or not a valid time
+        pass
+    return tuple(map(parse_timestamp, stamps))  # stamp by stamp, which words any error
+
+
 def _chunk_sessions(
-    chunk: list[bytes],
+    lines: list[bytes],
     seen: set[str],
     interned: dict[tuple[str, ...], frozenset[str]],
     strings: dict[str, str],
 ) -> list[SearchSession]:
-    """The sessions of a chunk of raw lines, checked a column at a time.
+    """The sessions of raw reduced-file lines, checked a column at a time.
 
-    Accepts only what the per-line path accepts, and builds the same values
-    and the same sharing.  Anything unexpected raises ``KeyError``,
-    ``TypeError``, ``ValueError``, ``StopIteration`` or ``RecursionError``
-    before ``seen``, ``interned`` or ``strings`` change, and the caller then
-    reads the chunk line by line, which accepts it or names the bad line.
+    All or none: a fault raises before ``seen``, ``interned`` or ``strings``
+    change.  A missing field raises ``KeyError``, any other fault
+    ``ValueError``, ``TypeError`` or ``RecursionError``.  The checks run in
+    the order of a line's parts (the JSON, the session object, ``session_id``,
+    ``user``, ``queries``, the query objects, texts, stamps, concepts, and
+    last a repeated id), so for a single line with one fault the message
+    names that fault.
     """
     payloads = []
-    # A plain loop: the scanner raises StopIteration for a line with no JSON
-    # value, which would silently end a map() or break a generator (PEP 479).
-    for line in map(str.strip, map(bytes.decode, chunk)):
+    for line in map(str.strip, map(bytes.decode, lines)):
         if line:
-            payload, end = _scan_json(line, 0)
+            try:
+                payload, end = _scan_json(line, 0)
+            except StopIteration:  # no JSON value at the start of the line
+                end = None
             if end != len(line):
-                raise ValueError("extra data")
+                payload = json.loads(line)  # raises the decoder's own message
             payloads.append(payload)
-    # A session or query that is not an object fails its item lookups with
-    # TypeError, and queries that are not a list give no objects to look in.
-    ids = list(map(itemgetter("session_id"), payloads))
-    users = list(map(itemgetter("user"), payloads))
+    if not {dict}.issuperset(map(type, payloads)):
+        raise ValueError("session must be a JSON object")
+    ids = _string_column(payloads, "session_id")
+    users = _string_column(payloads, "user")
     per_session = list(map(itemgetter("queries"), payloads))
-    "".join(ids)  # each join is one pass in C, failing on a non-string
-    "".join(users)
+    if not {list}.issuperset(map(type, per_session)):
+        raise ValueError("queries must be a list")
     if not all(per_session):
         raise ValueError("session has no queries")
     queries = list(chain.from_iterable(per_session))
+    if not {dict}.issuperset(map(type, queries)):
+        raise ValueError("each query must be a JSON object")
     texts = list(map(itemgetter("text"), queries))
-    stamps = list(map(itemgetter("ts"), queries))
+    try:
+        "".join(texts)
+    except TypeError:
+        raise ValueError(f"query texts must be strings, got {texts!r}") from None
+    timestamps = _parse_stamps(list(map(itemgetter("ts"), queries)))
     lists = list(map(itemgetter("concepts"), queries))
-    "".join(texts)
-    joined = "".join(stamps)
-    if not {19}.issuperset(map(len, stamps)):
-        raise ValueError("stamp of another length")
-    for offset, separator in _STAMP_SEPARATORS:
-        if joined[offset::19] != separator * len(stamps):
-            raise ValueError("stamp of another shape")
-    timestamps = tuple(map(datetime.fromisoformat, stamps))
-    if not {list}.issuperset(map(type, lists)):  # a string or an object would iterate
-        raise TypeError("concepts must be lists")
-    "".join(chain.from_iterable(lists))
+    if not {list}.issuperset(map(type, lists)):
+        raise ValueError("concepts must be a list")
+    try:
+        "".join(chain.from_iterable(lists))
+    except TypeError:
+        bad = next(raw for raw in lists if not {str}.issuperset(map(type, raw)))
+        raise ValueError(f"concepts must be strings, got {bad!r}") from None
     if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-        raise ValueError("duplicate session_id")
+        earlier: set[str] = set()
+        for session_id in ids:
+            if session_id in seen or session_id in earlier:
+                raise ValueError(f"duplicate session_id {session_id!r}")
+            earlier.add(session_id)
 
     keys = list(map(tuple, lists))
     fresh = set(keys).difference(interned)
@@ -386,40 +373,33 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     a JSON object, JSON nested too deep, queries that are not a list,
     missing field, bad value, no queries, a session id, user, query text or
     concept that is not a string, concepts that are not a list) or a
-    repeated session id raises ``ValueError`` naming ``path:line``.  Equal
-    concept lists share one set, and equal user ids and query texts share
-    one string object.
+    repeated session id raises ``ValueError`` naming ``path:line``.  A
+    leading UTF-8 byte order mark is dropped.  Equal concept lists share one
+    set, and equal user ids and query texts share one string object.
 
     Lines are read ``_CHUNK_LINES`` at a time, and each chunk is checked a
-    column at a time; a chunk with anything unexpected is read again line by
-    line, which decides what is accepted and words every message.
+    column at a time; a chunk with a fault is checked again one line at a
+    time, only to name the bad line.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
     strings: dict[str, str] = {}  # each user id or query text -> the first equal string seen
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
+        if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
+            handle.read(len(BOM_UTF8))
         for first in count(1, _CHUNK_LINES):
             chunk = list(islice(handle, _CHUNK_LINES))
             if not chunk:
                 break
             try:
                 sessions += _chunk_sessions(chunk, seen, interned, strings)
-                continue
-            except (KeyError, TypeError, ValueError, StopIteration, RecursionError):
-                pass  # read the chunk again line by line
-            for lineno, raw in enumerate(chunk, start=first):
-                try:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    session = _session_from_json(json.loads(line), interned, strings)
-                except KeyError as exc:
-                    raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-                except (TypeError, ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                if session.session_id in seen:
-                    raise ValueError(f"{path}:{lineno}: duplicate session_id {session.session_id!r}")
-                seen.add(session.session_id)
-                sessions.append(session)
+            except (KeyError, TypeError, ValueError, RecursionError):
+                for lineno, line in enumerate(chunk, start=first):
+                    try:
+                        sessions += _chunk_sessions([line], seen, interned, strings)
+                    except KeyError as exc:
+                        raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+                    except (TypeError, ValueError, RecursionError) as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return ReducedDataset(sessions)

@@ -79,7 +79,7 @@ def normalize(text: str) -> list[str]:
 def load_lexicon(path: str | Path) -> dict[str, list[str]]:
     """Load a synonym lexicon: JSON object mapping class id to phrase list."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
         raise ValueError(f"cannot parse lexicon file {path}: {exc}") from exc
     if not isinstance(payload, dict):

@@ -183,7 +183,7 @@ def _peel_order(ont: Ontology, children: dict[str, set[str]]) -> list[str]:
 def load_ontology(path: str | Path) -> Ontology:
     """Load and validate an ontology JSON file."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (RecursionError, ValueError) as exc:  # not JSON, nested too deep, or not UTF-8
         raise OntologyError(f"cannot parse ontology file {path}: {exc}") from exc
     try:

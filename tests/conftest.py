@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from codecs import BOM_UTF8
 from collections.abc import Sequence
 from datetime import datetime, timedelta
 from statistics import fmean
@@ -14,7 +15,7 @@ import pytest
 
 from cosuggest.copra import ConceptClusters
 from cosuggest.evaluation import FoldMetrics, LengthF1, _context_and_truth, _score_columns
-from cosuggest.log_pipeline import ReducedDataset, SearchSession, _session_from_json
+from cosuggest.log_pipeline import ReducedDataset, SearchSession, parse_timestamp
 from cosuggest.ontology import Ontology, ontology_from_dict
 from cosuggest.suggestion import Strategy, suggest
 
@@ -129,22 +130,74 @@ TWO_LINE_MERGE = (
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the json decoder's recursion limit
 
 
+def _oracle_concept_set(
+    raw: object, interned: dict[tuple[str, ...], frozenset[str]]
+) -> frozenset[str]:
+    if not isinstance(raw, list):
+        raise ValueError("concepts must be a list")
+    if not all(isinstance(concept, str) for concept in raw):
+        raise ValueError(f"concepts must be strings, got {raw!r}")
+    key = tuple(raw)
+    concepts = interned.get(key)
+    if concepts is None:
+        concepts = interned[key] = frozenset(raw)
+    return concepts
+
+
+def _oracle_session(
+    payload: object,
+    interned: dict[tuple[str, ...], frozenset[str]],
+    strings: dict[str, str],
+) -> SearchSession:
+    """One decoded reduced-file line checked field by field, in the order
+    of the line's parts; a missing field raises ``KeyError``."""
+    if type(payload) is not dict:
+        raise ValueError("session must be a JSON object")
+    for key in ("session_id", "user"):
+        if not isinstance(payload[key], str):
+            raise ValueError(f"{key} must be a string, got {payload[key]!r}")
+    queries = payload["queries"]
+    if type(queries) is not list:
+        raise ValueError("queries must be a list")
+    if not queries:
+        raise ValueError("session has no queries")
+    try:
+        texts = [q["text"] for q in queries]
+    except TypeError:
+        raise ValueError("each query must be a JSON object") from None
+    if not all(isinstance(text, str) for text in texts):
+        raise ValueError(f"query texts must be strings, got {texts!r}")
+    timestamps = tuple([parse_timestamp(q["ts"]) for q in queries])
+    concepts = tuple([_oracle_concept_set(q["concepts"], interned) for q in queries])
+    share = strings.setdefault
+    return SearchSession(
+        payload["session_id"],
+        share(payload["user"], payload["user"]),
+        tuple(map(share, texts, texts)),
+        timestamps,
+        concepts,
+    )
+
+
 def read_reduced_per_line(path) -> ReducedDataset:
     """The reduced-file reader one line at a time: ``json.loads`` and the
-    per-session checks of :func:`_session_from_json` on each line in turn.
-    The oracle for ``read_reduced_ndjson``'s chunked fast path: its sessions,
-    its string and concept-set sharing, or its exact ``path:line`` message."""
+    field-by-field checks of :func:`_oracle_session` on each line in turn.
+    The oracle for ``read_reduced_ndjson``, which checks chunks of lines a
+    column at a time: its sessions, its string and concept-set sharing, or
+    its exact ``path:line`` message."""
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
     strings: dict[str, str] = {}
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(BOM_UTF8)
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                session = _session_from_json(json.loads(line), interned, strings)
+                session = _oracle_session(json.loads(line), interned, strings)
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (TypeError, ValueError, RecursionError) as exc:

@@ -2,6 +2,8 @@ import argparse
 import gc
 import json
 import random
+import shutil
+from codecs import BOM_UTF8
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -11,12 +13,18 @@ import cosuggest.cli
 import cosuggest.evaluation
 from cosuggest.cli import build_parser, main
 from cosuggest.config import (
+    MAX_GAP_MINUTES,
     PipelineConfig,
     config_hash,
     env_overrides,
     load_config_file,
     resolve_config,
 )
+from cosuggest.cooccurrence import read_graph_tsv
+from cosuggest.copra import read_clusters_json
+from cosuggest.log_pipeline import parse_log, read_reduced_ndjson
+from cosuggest.matching import load_lexicon
+from cosuggest.ontology import load_ontology
 
 from conftest import CITY_ONTOLOGY, DEEP_JSON, TWO_LINE_MERGE, write_log
 
@@ -110,6 +118,10 @@ def test_resolution_precedence(tmp_path):
 def test_config_validation_ranges():
     with pytest.raises(ValueError):
         PipelineConfig(gap_minutes=0)
+    assert PipelineConfig(gap_minutes=MAX_GAP_MINUTES).gap_minutes == MAX_GAP_MINUTES
+    assert timedelta(minutes=MAX_GAP_MINUTES) <= timedelta.max
+    with pytest.raises(ValueError, match="gap_minutes must be at most"):
+        PipelineConfig(gap_minutes=MAX_GAP_MINUTES + 1)
     with pytest.raises(ValueError):
         PipelineConfig(folds=1)
     with pytest.raises(ValueError):
@@ -432,6 +444,27 @@ def test_deeply_nested_config_file_exits_2(log_file, tmp_path, capsys):
     deep.write_text('{"seed": ' + DEEP_JSON + "}", encoding="utf-8")
     assert main(["eval", "--config", str(deep), "--log", str(log_file)]) == 2
     assert f"cannot parse config file {deep}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config-file", "environment"])
+def test_gap_too_long_for_a_timedelta_exits_2(
+    ontology_file, log_file, tmp_path, monkeypatch, capsys, source
+):
+    gap = "100000000000000"
+    argv = ["reduce", "--log", str(log_file), "--ontology", str(ontology_file),
+            "--out", str(tmp_path / "reduced.ndjson")]
+    if source == "flag":
+        argv += ["--gap-minutes", gap]
+    elif source == "config-file":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gap_minutes={gap}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("COSUGGEST_GAP_MINUTES", gap)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"reduce: gap_minutes must be at most {MAX_GAP_MINUTES}" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_on_bad_flag_value(ontology_file):
@@ -821,6 +854,40 @@ def test_malformed_artifact_exits_1_with_location(
     for part in where if isinstance(where, tuple) else ("{path}" + where,):
         assert part.format(path=path) in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def demo_inputs(tmp_path_factory):
+    """The demo corpus, its reduced file, graph and clusters, and two config files."""
+    out = tmp_path_factory.mktemp("demo-inputs")
+    for path in DATA.iterdir():
+        shutil.copy(path, out)
+    argvs = _stage_argvs(out / "search_log.tsv", out)
+    for command in ("reduce", "graph", "cluster"):
+        assert main(argvs[command]) == 0
+    (out / "run.json").write_text('{"seed": 7, "gap_minutes": 15}', encoding="utf-8")
+    (out / "run.cfg").write_text("seed=7\ngap_minutes=15\n", encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize(
+    "reader, name",
+    [
+        (parse_log, "search_log.tsv"),
+        (load_ontology, "city_ontology.json"),
+        (load_lexicon, "lexicon.json"),
+        (read_reduced_ndjson, "reduced.ndjson"),
+        (read_graph_tsv, "graph.tsv"),
+        (read_clusters_json, "clusters.json"),
+        (load_config_file, "run.json"),
+        (load_config_file, "run.cfg"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_leading_byte_order_mark_is_dropped(demo_inputs, tmp_path, reader, name):
+    marked = tmp_path / name
+    marked.write_bytes(BOM_UTF8 + (demo_inputs / name).read_bytes())
+    assert reader(marked) == reader(demo_inputs / name)
 
 
 # ------------------------------------------------------ garbage collector

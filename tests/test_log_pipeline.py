@@ -713,13 +713,15 @@ def _sharing(values):
 
 
 def _assert_reads_as_oracle(path):
+    """Checks the reader against the oracle; returns the number of the line
+    that both reject, or None when both accept the file."""
     try:
         expected = read_reduced_per_line(path).sessions
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             read_reduced_ndjson(path)
         assert str(got.value) == str(exc)
-        return
+        return int(str(exc).removeprefix(f"{path}:").split(":", 1)[0])
     got = read_reduced_ndjson(path).sessions
 
     def fields(s):
@@ -730,25 +732,38 @@ def _assert_reads_as_oracle(path):
         assert _sharing([v for s in got for v in column(s)]) == _sharing(
             [v for s in expected for v in column(s)]
         )
+    return None
 
 
 @pytest.fixture
-def per_line_calls(monkeypatch):
-    """Counts the sessions that the reduced reader checks one line at a time."""
+def chunk_calls(monkeypatch):
+    """The number of lines of each call that the reduced reader makes to its
+    checker, in order."""
     calls = []
-    per_line = cosuggest.log_pipeline._session_from_json
+    check = cosuggest.log_pipeline._chunk_sessions
 
-    def counted(*args):
-        calls.append(None)
-        return per_line(*args)
+    def counted(lines, *args):
+        calls.append(len(lines))
+        return check(lines, *args)
 
-    monkeypatch.setattr(cosuggest.log_pipeline, "_session_from_json", counted)
+    monkeypatch.setattr(cosuggest.log_pipeline, "_chunk_sessions", counted)
+    return calls
+
+
+def _expected_chunk_calls(n_lines, bad_line=None):
+    """The line counts of the checker's calls for a file of ``n_lines``
+    lines: each chunk in turn up to the one that holds ``bad_line``, then
+    that chunk's lines one at a time up to the bad one."""
+    stop = n_lines if bad_line is None else bad_line
+    calls = [min(CHUNK, n_lines - start) for start in range(0, stop, CHUNK)]
+    if bad_line is not None:
+        calls += [1] * ((bad_line - 1) % CHUNK + 1)
     return calls
 
 
 @pytest.mark.parametrize("position", ["first", "chunk-end", "chunk-start", "last"])
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
-def test_chunked_reader_matches_per_line_oracle(tmp_path, per_line_calls, mutation, position):
+def test_chunked_reader_matches_per_line_oracle(tmp_path, chunk_calls, mutation, position):
     for seed in range(7):  # 308 files over the 44 cases
         rng = random.Random(f"{mutation}/{position}/{seed}")
         lines = [_line(_session_payload(rng, i)) for i in range(rng.randint(CHUNK + 2, 2 * CHUNK + 2))]
@@ -756,19 +771,85 @@ def test_chunked_reader_matches_per_line_oracle(tmp_path, per_line_calls, mutati
         MUTATIONS[mutation](rng, lines, at[position])
         if rng.random() < 0.25:
             lines[-1] = lines[-1].rstrip(b"\n")
+        data = b"".join(lines)
         path = tmp_path / f"{seed}.ndjson"
-        path.write_bytes(b"".join(lines))
-        per_line_calls.clear()
-        _assert_reads_as_oracle(path)
-        # Only the chunks that hold the mutation are read line by line.
-        assert len(per_line_calls) <= 2 * CHUNK
+        path.write_bytes(data)
+        chunk_calls.clear()
+        bad_line = _assert_reads_as_oracle(path)
+        # Only the chunk that holds the bad line is checked again line by line.
+        n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # a blank last line may be gone
+        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line)
 
 
-def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, per_line_calls):
+def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, chunk_calls):
     rng = random.Random(3)
     for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK):
         path = tmp_path / f"{n}.ndjson"
         path.write_bytes(b"".join(_line(_session_payload(rng, i)) for i in range(n)))
-        _assert_reads_as_oracle(path)
+        chunk_calls.clear()
         assert len(read_reduced_ndjson(path).sessions) == n
-    assert per_line_calls == []
+        assert chunk_calls == _expected_chunk_calls(n)  # one call per chunk
+        assert _assert_reads_as_oracle(path) is None
+
+
+_DROP = object()
+# Two faults in one session line, each as (query index, or None for the
+# session object; key, or None for the whole query; value, or _DROP to
+# remove the key).  In the first four, the checker, which checks a column
+# of every query before the next column, meets the second fault first,
+# while a field-by-field check of one query after another meets the first.
+TWO_FAULTS = {
+    "bad-stamp+no-ts": ((0, "ts", "2006-13-01 09:00:00"), (1, "ts", _DROP)),
+    "no-text+query-not-object": ((0, "text", _DROP), (1, None, ["text"])),
+    "concepts-not-list+no-concepts": ((0, "concepts", "park"), (1, "concepts", _DROP)),
+    "stamp-not-string+no-ts": ((0, "ts", 7), (1, "ts", _DROP)),
+    "concepts-not-list+no-ts": ((0, "concepts", "park"), (1, "ts", _DROP)),
+    "user-not-string+duplicate-id": ((None, "user", 7), (None, "session_id", "s#3")),
+}
+
+
+def _with_faults(faults):
+    payload = {
+        "session_id": "s#149",
+        "user": "u1",
+        "queries": [
+            {"text": "park", "ts": _ts(1), "concepts": ["park"]},
+            {"text": "beach", "ts": _ts(2), "concepts": ["beach"]},
+        ],
+    }
+    for where, key, value in faults:
+        if key is None:
+            payload["queries"][where] = value
+            continue
+        target = payload if where is None else payload["queries"][where]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("faults", list(TWO_FAULTS))
+def test_line_with_two_faults_is_named_with_one_of_them(tmp_path, faults):
+    rng = random.Random(faults)
+    lines = [_line(_session_payload(rng, i)) for i in range(2 * CHUNK + 50)]
+    path = tmp_path / "reduced.ndjson"
+
+    def messages(chosen):
+        """The reader's and the oracle's message for these faults at line 150."""
+        lines[149] = _line(_with_faults(chosen))
+        path.write_bytes(b"".join(lines))
+        got = []
+        for read in (read_reduced_ndjson, read_reduced_per_line):
+            with pytest.raises(ValueError) as exc:
+                read(path)
+            assert str(exc.value).startswith(f"{path}:150: ")
+            got.append(str(exc.value).removeprefix(f"{path}:150: "))
+        return got
+
+    first, second = TWO_FAULTS[faults]
+    alone = [messages([first]), messages([second])]
+    assert [reader for reader, oracle in alone] == [oracle for reader, oracle in alone]
+    single = {reader for reader, oracle in alone}
+    assert len(single) == 2
+    assert messages([first, second])[0] in single
