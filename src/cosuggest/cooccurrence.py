@@ -16,13 +16,9 @@ from pathlib import Path
 from cosuggest.log_pipeline import SearchSession
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass
 class CooccurrenceGraph:
-    """Undirected weighted graph over concept ids; pairs stored canonically.
+    """Undirected weighted graph over concept ids; each pair ``(a, b)`` has ``a < b``.
 
     A graph is its edge weights: its nodes are the endpoints of its edges,
     so it never holds an isolated node.
@@ -33,17 +29,6 @@ class CooccurrenceGraph:
     @property
     def nodes(self) -> set[str]:
         return {n for pair in self.edges for n in pair}
-
-    def weight(self, a: str, b: str) -> int:
-        return self.edges.get(_pair(a, b), 0)
-
-    def add_edge(self, a: str, b: str, weight: int = 1) -> None:
-        if a == b:
-            raise ValueError(f"self-loop on {a!r} is not allowed")
-        if weight < 1:
-            raise ValueError("edge weight must be >= 1")
-        key = _pair(a, b)
-        self.edges[key] = self.edges.get(key, 0) + weight
 
     def adjacency(self) -> dict[str, list[tuple[str, int]]]:
         """Neighbor lists sorted by neighbor id, for deterministic iteration."""
@@ -104,33 +89,50 @@ def prune(g: CooccurrenceGraph, min_weight: int) -> CooccurrenceGraph:
 
 
 def write_graph_tsv(g: CooccurrenceGraph, path: str | Path) -> None:
-    """Dump edges as ``concept_a\\tconcept_b\\tweight``, sorted for stable bytes."""
+    """Dump edges as ``concept_a\\tconcept_b\\tweight``, sorted for stable bytes.
+
+    An edge that :func:`read_graph_tsv` could not read back raises
+    ``ValueError`` naming it, before the file is opened: ids that are empty,
+    not in order ``a < b``, or hold a tab, CR or LF, or a weight below 1.
+    """
+    rows = []
+    for (a, b), w in sorted(g.edges.items()):
+        if not ("" < a < b and set(a + b).isdisjoint("\t\r\n") and type(w) is int and w > 0):
+            raise ValueError(f"cannot write edge {a!r} {b!r} with weight {w!r}")
+        rows.append(f"{a}\t{b}\t{w}\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for (a, b) in sorted(g.edges):
-            handle.write(f"{a}\t{b}\t{g.edges[(a, b)]}\n")
+        handle.writelines(rows)
 
 
 def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
-    """Inverse of :func:`write_graph_tsv`; a malformed line (bytes that are
-    not UTF-8 included) or a pair listed twice (in either order) raises
-    ``ValueError`` naming ``path:line``.  A leading UTF-8 byte order mark is
-    dropped."""
-    graph = CooccurrenceGraph()
+    """Inverse of :func:`write_graph_tsv`, byte for byte.
+
+    Each line must be ``a\\tb\\tw\\n`` with ``"" < a < b``, the pairs
+    strictly ascending, and ``w`` ASCII digits without a leading zero.  Any
+    other line (a blank line, a CR, a missing last line feed, or bytes that
+    are not UTF-8 included) raises ``ValueError`` naming ``path:line``.  A
+    leading UTF-8 byte order mark is dropped.
+    """
+    edges: dict[tuple[str, str], int] = {}
+    last = ("", "")
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
         if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
             handle.read(len(BOM_UTF8))
         for lineno, raw in enumerate(handle, start=1):
             try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
+                line = raw.decode("utf-8")
+                if not line.endswith("\n") or "\r" in line:
+                    raise ValueError("a row must end in a line feed and hold no CR")
+                fields = line[:-1].split("\t")
                 if len(fields) != 3:
                     raise ValueError("expected 3 tab-separated fields")
-                a, b, raw_w = fields
-                if graph.weight(a, b):
-                    raise ValueError(f"repeated pair {a!r} {b!r}")
-                graph.add_edge(a, b, int(raw_w))
+                a, b, w = fields
+                if not ("" < a < b and last < (a, b)):
+                    raise ValueError(f"expected ids '' < a < b after pair {last}, got {(a, b)}")
+                if not (w.isascii() and w.isdigit() and w[0] != "0"):
+                    raise ValueError(f"weight must be a positive integer, got {w!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return graph
+            edges[a, b] = int(w)
+            last = (a, b)
+    return CooccurrenceGraph(edges)

@@ -219,9 +219,11 @@ def write_clusters_json(
 def read_clusters_json(path: str | Path) -> tuple[ConceptClusters, dict]:
     """Inverse of :func:`write_clusters_json`, as an indexed collection.
 
-    Malformed input (missing field, an id that is not an integer, members
-    that are not a list of strings, a repeated id) raises ``ValueError``
-    naming the file and the offending ``clusters[i]``.
+    ``clusters[i]`` must be exactly ``{"id": i, "members": [...]}`` with the
+    members a sorted list of distinct strings.  Anything else raises
+    ``ValueError`` naming the file and the offending ``clusters[i]``.  The
+    rule holds per JSON value: the file's whitespace and key order are not
+    checked.
     """
     where = "top level"
     try:
@@ -230,19 +232,20 @@ def read_clusters_json(path: str | Path) -> tuple[ConceptClusters, dict]:
         raise ValueError(f"{path}: {where}: {exc}") from exc
     try:
         clusters = []
-        ids: set[int] = set()
         for i, raw in enumerate(payload["clusters"]):
             where = f"clusters[{i}]"
-            if type(raw["id"]) is not int:  # bool is an int subclass and is rejected
-                raise ValueError(f"id must be an integer, got {raw['id']!r}")
-            if not isinstance(raw["members"], list):
+            cid, members = raw["id"], raw["members"]
+            if len(raw) != 2:
+                raise ValueError(f"unexpected field {sorted(set(raw) - {'id', 'members'})[0]!r}")
+            if type(cid) is not int or cid != i:  # bool is an int subclass and is rejected
+                raise ValueError(f"id must be {i}, got {cid!r}")
+            if not isinstance(members, list):
                 raise ValueError("members must be a list")
-            if not all(isinstance(m, str) for m in raw["members"]):
+            if not all(isinstance(m, str) for m in members):
                 raise ValueError("members must be strings")
-            if raw["id"] in ids:
-                raise ValueError(f"duplicate id {raw['id']!r}")
-            ids.add(raw["id"])
-            clusters.append(ConceptCluster(id=raw["id"], members=frozenset(raw["members"])))
+            if members != sorted(set(members)):
+                raise ValueError("members must be sorted and distinct")
+            clusters.append(ConceptCluster(id=i, members=frozenset(members)))
     except KeyError as exc:
         raise ValueError(f"{path}: {where}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

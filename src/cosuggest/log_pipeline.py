@@ -231,17 +231,29 @@ def session_length_stats(ds: ReducedDataset) -> LengthStats:
 
 
 def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
-    """One session per line: {"session_id", "user", "queries": [{"text","ts","concepts"}]}."""
+    """One session per line: {"session_id", "user", "queries": [{"text","ts","concepts"}]}.
+
+    A session that :func:`read_reduced_ndjson` would reject raises
+    ``ValueError`` naming it: no queries, a repeated id, or a timestamp with
+    microseconds or a time zone.
+    """
+    seen: set[str] = set()
     with open(path, "w", encoding="utf-8") as handle:
         for session in ds.sessions:
-            payload = {
-                "session_id": session.session_id,
-                "user": session.user_id,
-                "queries": [
-                    {"text": text, "ts": ts.isoformat(" "), "concepts": sorted(cset)}
-                    for text, ts, cset in zip(session.texts, session.timestamps, session.concepts)
-                ],
-            }
+            sid = session.session_id
+            stamps = [ts.isoformat(" ") for ts in session.timestamps]
+            queries = [
+                {"text": text, "ts": ts, "concepts": sorted(cset)}
+                for text, ts, cset in zip(session.texts, stamps, session.concepts)
+            ]
+            if not queries:
+                raise ValueError(f"session {sid!r} has no queries")
+            if sid in seen:
+                raise ValueError(f"session {sid!r} is repeated")
+            if len("".join(stamps)) != 19 * len(stamps):  # YYYY-MM-DD HH:MM:SS is 19 long
+                raise ValueError(f"session {sid!r} has a stamp with microseconds or a time zone")
+            seen.add(sid)
+            payload = {"session_id": sid, "user": session.user_id, "queries": queries}
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -253,8 +265,8 @@ _CHUNK_LINES = 100
 # ends at the line's end succeeds exactly when ``json.loads`` does, with the
 # same value, without the wrapper's per-call cost.
 _scan_json = json.JSONDecoder().scan_once
-# Separator offsets of a YYYY-MM-DD HH:MM:SS stamp, the shape parse_timestamp
-# hands to datetime.fromisoformat.
+# Separator offsets of a YYYY-MM-DD HH:MM:SS stamp, the only shape the writer
+# writes.
 _STAMP_SEPARATORS = ((4, "-"), (7, "-"), (10, " "), (13, ":"), (16, ":"))
 
 
@@ -269,19 +281,19 @@ def _string_column(rows: list[dict], key: str) -> list[str]:
     return column
 
 
-def _parse_stamps(stamps: list) -> tuple[datetime, ...]:
-    """``parse_timestamp`` of each stamp, through one ``datetime.fromisoformat``
-    pass when every stamp has the ``YYYY-MM-DD HH:MM:SS`` shape."""
+def _parse_stamps(stamps: list[str]) -> tuple[datetime, ...]:
+    """The stamps, each of the writer's ``YYYY-MM-DD HH:MM:SS`` shape, in one
+    ``datetime.fromisoformat`` pass."""
+    joined = "".join(stamps)
     try:
-        joined = "".join(stamps)
         if {19}.issuperset(map(len, stamps)) and all(
             joined[offset::19] == separator * len(stamps)
             for offset, separator in _STAMP_SEPARATORS
         ):
             return tuple(map(datetime.fromisoformat, stamps))
-    except (TypeError, ValueError):  # a stamp that is not a string, or not a valid time
+    except ValueError:  # not a valid time
         pass
-    return tuple(map(parse_timestamp, stamps))  # stamp by stamp, which words any error
+    raise ValueError(f"ts must be YYYY-MM-DD HH:MM:SS times, got {stamps!r}")
 
 
 def _chunk_sessions(
@@ -296,8 +308,9 @@ def _chunk_sessions(
     change.  A missing field raises ``KeyError``, any other fault
     ``ValueError``, ``TypeError`` or ``RecursionError``.  The checks run in
     the order of a line's parts (the JSON, the session object, ``session_id``,
-    ``user``, ``queries``, the query objects, texts, stamps, concepts, and
-    last a repeated id), so for a single line with one fault the message
+    ``user``, ``queries``, unexpected session fields, the query objects,
+    texts, stamps, concepts, unexpected query fields, the concepts' order,
+    and last a repeated id), so for a single line with one fault the message
     names that fault.
     """
     payloads = []
@@ -315,6 +328,8 @@ def _chunk_sessions(
     ids = _string_column(payloads, "session_id")
     users = _string_column(payloads, "user")
     per_session = list(map(itemgetter("queries"), payloads))
+    if not {3}.issuperset(map(len, payloads)):  # every one of the 3 fields is there
+        raise ValueError("a session has only the fields queries, session_id and user")
     if not {list}.issuperset(map(type, per_session)):
         raise ValueError("queries must be a list")
     if not all(per_session):
@@ -322,13 +337,11 @@ def _chunk_sessions(
     queries = list(chain.from_iterable(per_session))
     if not {dict}.issuperset(map(type, queries)):
         raise ValueError("each query must be a JSON object")
-    texts = list(map(itemgetter("text"), queries))
-    try:
-        "".join(texts)
-    except TypeError:
-        raise ValueError(f"query texts must be strings, got {texts!r}") from None
-    timestamps = _parse_stamps(list(map(itemgetter("ts"), queries)))
+    texts = _string_column(queries, "text")
+    timestamps = _parse_stamps(_string_column(queries, "ts"))
     lists = list(map(itemgetter("concepts"), queries))
+    if not {3}.issuperset(map(len, queries)):
+        raise ValueError("a query has only the fields concepts, text and ts")
     if not {list}.issuperset(map(type, lists)):
         raise ValueError("concepts must be a list")
     try:
@@ -336,6 +349,11 @@ def _chunk_sessions(
     except TypeError:
         bad = next(raw for raw in lists if not {str}.issuperset(map(type, raw)))
         raise ValueError(f"concepts must be strings, got {bad!r}") from None
+    keys = list(map(tuple, lists))
+    fresh = set(keys).difference(interned)
+    if not all(list(key) == sorted(set(key)) for key in fresh):
+        bad = next(key for key in keys if list(key) != sorted(set(key)))
+        raise ValueError(f"concepts must be sorted and distinct, got {list(bad)!r}")
     if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
         earlier: set[str] = set()
         for session_id in ids:
@@ -343,8 +361,6 @@ def _chunk_sessions(
                 raise ValueError(f"duplicate session_id {session_id!r}")
             earlier.add(session_id)
 
-    keys = list(map(tuple, lists))
-    fresh = set(keys).difference(interned)
     interned.update(zip(fresh, map(frozenset, fresh)))
     concepts = tuple(map(interned.__getitem__, keys))
     share = strings.setdefault
@@ -367,15 +383,13 @@ def _chunk_sessions(
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
-    """Inverse of :func:`write_reduced_ndjson`.
+    """Inverse of :func:`write_reduced_ndjson`, accepting exactly the sessions it writes.
 
-    A malformed line (bytes that are not UTF-8, a line or query that is not
-    a JSON object, JSON nested too deep, queries that are not a list,
-    missing field, bad value, no queries, a session id, user, query text or
-    concept that is not a string, concepts that are not a list) or a
-    repeated session id raises ``ValueError`` naming ``path:line``.  A
-    leading UTF-8 byte order mark is dropped.  Equal concept lists share one
-    set, and equal user ids and query texts share one string object.
+    The rule holds per JSON value: whitespace, escapes and key order inside
+    a line are not checked.  Any other line, bytes that are not UTF-8
+    included, raises ``ValueError`` naming ``path:line``.  A leading UTF-8
+    byte order mark is dropped.  Equal concept lists share one set, and
+    equal user ids and query texts share one string object.
 
     Lines are read ``_CHUNK_LINES`` at a time, and each chunk is checked a
     column at a time; a chunk with a fault is checked again one line at a

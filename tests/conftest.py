@@ -15,7 +15,7 @@ import pytest
 
 from cosuggest.copra import ConceptClusters
 from cosuggest.evaluation import FoldMetrics, LengthF1, _context_and_truth, _score_columns
-from cosuggest.log_pipeline import ReducedDataset, SearchSession, parse_timestamp
+from cosuggest.log_pipeline import ReducedDataset, SearchSession
 from cosuggest.ontology import Ontology, ontology_from_dict
 from cosuggest.suggestion import Strategy, suggest
 
@@ -130,51 +130,63 @@ TWO_LINE_MERGE = (
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested past the json decoder's recursion limit
 
 
-def _oracle_concept_set(
-    raw: object, interned: dict[tuple[str, ...], frozenset[str]]
-) -> frozenset[str]:
-    if not isinstance(raw, list):
-        raise ValueError("concepts must be a list")
-    if not all(isinstance(concept, str) for concept in raw):
-        raise ValueError(f"concepts must be strings, got {raw!r}")
-    key = tuple(raw)
-    concepts = interned.get(key)
-    if concepts is None:
-        concepts = interned[key] = frozenset(raw)
-    return concepts
-
-
 def _oracle_session(
     payload: object,
     interned: dict[tuple[str, ...], frozenset[str]],
     strings: dict[str, str],
 ) -> SearchSession:
     """One decoded reduced-file line checked field by field, in the order
-    of the line's parts; a missing field raises ``KeyError``."""
+    of the line's parts; a missing field raises ``KeyError``.  A stamp is
+    valid when ``strptime`` reads it and ``isoformat`` writes it back the
+    same, and a concept list when it equals its own sorted set."""
     if type(payload) is not dict:
         raise ValueError("session must be a JSON object")
     for key in ("session_id", "user"):
         if not isinstance(payload[key], str):
             raise ValueError(f"{key} must be a string, got {payload[key]!r}")
     queries = payload["queries"]
+    if set(payload) != {"session_id", "user", "queries"}:
+        raise ValueError("a session has only the fields queries, session_id and user")
     if type(queries) is not list:
         raise ValueError("queries must be a list")
     if not queries:
         raise ValueError("session has no queries")
-    try:
-        texts = [q["text"] for q in queries]
-    except TypeError:
-        raise ValueError("each query must be a JSON object") from None
-    if not all(isinstance(text, str) for text in texts):
-        raise ValueError(f"query texts must be strings, got {texts!r}")
-    timestamps = tuple([parse_timestamp(q["ts"]) for q in queries])
-    concepts = tuple([_oracle_concept_set(q["concepts"], interned) for q in queries])
+    if not all(type(q) is dict for q in queries):
+        raise ValueError("each query must be a JSON object")
+    columns = {}
+    for key in ("text", "ts"):
+        columns[key] = [q[key] for q in queries]
+        for value in columns[key]:
+            if not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
+    timestamps = []
+    for raw in columns["ts"]:
+        try:
+            stamp = datetime.strptime(raw, "%Y-%m-%d %H:%M:%S")
+        except ValueError:
+            stamp = None
+        if stamp is None or stamp.isoformat(" ") != raw:
+            raise ValueError(f"ts must be YYYY-MM-DD HH:MM:SS times, got {columns['ts']!r}")
+        timestamps.append(stamp)
+    lists = [q["concepts"] for q in queries]
+    if any(set(q) != {"text", "ts", "concepts"} for q in queries):
+        raise ValueError("a query has only the fields concepts, text and ts")
+    if not all(isinstance(raw, list) for raw in lists):
+        raise ValueError("concepts must be a list")
+    for raw in lists:
+        if not all(isinstance(concept, str) for concept in raw):
+            raise ValueError(f"concepts must be strings, got {raw!r}")
+    for raw in lists:
+        if raw != sorted(set(raw)):
+            raise ValueError(f"concepts must be sorted and distinct, got {raw!r}")
+    concepts = tuple([interned.setdefault(tuple(raw), frozenset(raw)) for raw in lists])
     share = strings.setdefault
+    texts = columns["text"]
     return SearchSession(
         payload["session_id"],
         share(payload["user"], payload["user"]),
         tuple(map(share, texts, texts)),
-        timestamps,
+        tuple(timestamps),
         concepts,
     )
 

@@ -659,7 +659,7 @@ def _with_class(*extra):
         ),
         (
             "not_utf8.tsv",
-            "".join(f"a{i}\tb{i}\t3\n" for i in range(1000)).encode() + b"x\xff\ty\t3\n",
+            "".join(f"a{i:04d}\tb{i:04d}\t3\n" for i in range(1000)).encode() + b"x\xff\ty\t3\n",
             ["cluster", "--out", "{tmp}/clusters.json", "--graph"],
             ":1001: " + NOT_UTF8,
         ),
@@ -854,6 +854,23 @@ def test_malformed_artifact_exits_1_with_location(
     for part in where if isinstance(where, tuple) else ("{path}" + where,):
         assert part.format(path=path) in err
     assert "Traceback" not in err
+
+
+def test_graph_with_a_tab_in_a_concept_id_exits_1_and_writes_nothing(tmp_path, capsys):
+    lawn = {**_PARK, "id": "a\tb", "annotations": [{"surface": "lawn", "lemmas": ["lawn"]}]}
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(json.dumps(_with_class(lawn)), encoding="utf-8")
+    log = tmp_path / "log.tsv"
+    write_log(log, [(user, "lawn park", "2006-03-01 09:00:00", "", "") for user in ("u1", "u2")])
+    reduced, graph = tmp_path / "reduced.ndjson", tmp_path / "graph.tsv"
+    assert main(["reduce", "--log", str(log), "--ontology", str(ontology), "--out", str(reduced)]) == 0
+    assert main(["graph", "--reduced", str(reduced), "--out", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert "graph: cannot write edge 'a\\tb' 'park' with weight 2" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "log.tsv", "ontology.json", "reduced.ndjson", "reduced.ndjson.meta.json"
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -25,9 +26,7 @@ def test_build_graph_counts_session_pairs():
         }
     )
     g = build_graph(ds.sessions)
-    assert g.weight("A", "B") == 2
-    assert g.weight("A", "C") == 1
-    assert g.weight("B", "C") == 0
+    assert g.edges == {("A", "B"): 2, ("A", "C"): 1}
 
 
 def test_single_concept_session_contributes_nothing():
@@ -38,15 +37,11 @@ def test_single_concept_session_contributes_nothing():
 def test_repeated_concept_no_self_loop():
     g = build_graph(make_dataset({"u1#1": [{"A"}, {"A"}]}).sessions)
     assert g.edges == {}
-    with pytest.raises(ValueError):
-        CooccurrenceGraph().add_edge("A", "A")
 
 
 def test_edge_weight_symmetric_storage():
-    g = CooccurrenceGraph()
-    g.add_edge("B", "A")
-    assert g.weight("A", "B") == 1
-    assert ("A", "B") in g.edges
+    g = build_graph(make_dataset({"u1#1": [{"B"}, {"A"}]}).sessions)
+    assert g.edges == {("A", "B"): 1}
 
 
 def test_prune_identity_at_one():
@@ -92,7 +87,7 @@ def test_weights_match_brute_force_on_random_sessions():
     universe = sorted({c for u in unions.values() for c in u})
     for x, y in combinations(universe, 2):
         expected = sum(1 for u in unions.values() if x in u and y in u)
-        assert g.weight(x, y) == expected
+        assert g.edges.get((x, y), 0) == expected
 
 
 def test_prune_idempotent_for_thresholds_one_to_five():
@@ -138,10 +133,8 @@ def test_full_minus_fold_graph_equals_training_graph():
 
 def test_subtracting_a_graph_that_is_not_a_subset_raises():
     g = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "B", "C"}]}).sessions)
-    heavier = CooccurrenceGraph()
-    heavier.add_edge("A", "B", 3)
-    missing = CooccurrenceGraph()
-    missing.add_edge("B", "D")
+    heavier = CooccurrenceGraph({("A", "B"): 3})
+    missing = CooccurrenceGraph({("B", "D"): 1})
     for other in (heavier, missing):
         with pytest.raises(ValueError):
             g - other
@@ -169,9 +162,7 @@ def test_fold_graphs_plus_never_held_out_sessions_sum_to_full_graph():
 
 def test_adding_graphs_adds_weights():
     a = build_graph(make_dataset({"u1#1": [{"A", "B"}], "u2#1": [{"A", "B", "C"}]}).sessions)
-    b = CooccurrenceGraph()
-    b.add_edge("B", "A", 3)
-    b.add_edge("C", "D")
+    b = CooccurrenceGraph({("A", "B"): 3, ("C", "D"): 1})
     a_edges, b_edges = dict(a.edges), dict(b.edges)
     total = a + b
     assert total.edges == {("A", "B"): 5, ("A", "C"): 1, ("B", "C"): 1, ("C", "D"): 1}
@@ -190,3 +181,99 @@ def test_sum_of_random_session_graphs_equals_graph_of_their_union():
     parts = [sessions[a:b] for a, b in zip([0, *cut], [*cut, len(sessions)])]
     total = sum((build_graph(part) for part in parts), CooccurrenceGraph())
     assert total.edges == build_graph(sessions).edges
+
+
+def _mutate_graph_lines(rng, lines):
+    """Duplicate or reorder rows, or add a blank line, a CR, a field, or
+    drop the last line feed."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    elif kind == 1:
+        lines.reverse()
+    elif kind == 2:
+        lines.append("\n")
+    elif kind == 3:
+        lines[-1] = lines[-1].rstrip("\n")
+    elif kind == 4:
+        lines[0] = lines[0].replace("\n", "\r\n")
+    else:
+        lines[0] += "\t"
+
+
+# Characters put at a random place of a random line: each gives a file that
+# must be rejected or read as a graph that writes back to the same bytes.
+GRAPH_NOISE = ("\t", "\r", " ", "0", "_", "+", "a", "z", "\x85", " ", "３")
+
+
+def test_graph_tsv_reader_accepts_only_what_the_writer_writes(tmp_path):
+    path, again = tmp_path / "graph.tsv", tmp_path / "again.tsv"
+    rejected = rewritten = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        write_graph_tsv(build_graph(_random_sessions(rng, 12)), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True) or ["a\tb\t1\n"]
+        if rng.random() < 0.4:
+            _mutate_graph_lines(rng, lines)
+        else:
+            at = rng.randrange(len(lines))
+            cut = rng.randrange(len(lines[at]) + 1)
+            lines[at] = lines[at][:cut] + rng.choice(GRAPH_NOISE) + lines[at][cut:]
+        data = "".join(lines).encode()
+        path.write_bytes(data)
+        try:
+            graph = read_graph_tsv(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
+            rejected += 1
+            continue
+        write_graph_tsv(graph, again)
+        assert again.read_bytes() == data
+        rewritten += 1
+    assert rejected > 100 and rewritten > 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\tc\t2\n",  # an empty id
+        "a\tb\t 3\n",
+        "a\tb\t1_0\n",
+        "a\tb\t03\n",
+        "a\tb\t0\n",
+        "a\tb\t３\n",
+        "b\ta\t1\n",  # a pair out of order
+        "a\tb\t1\na\tb\t2\n",  # a pair twice
+        "a\tc\t1\na\tb\t1\n",  # rows out of order
+        "a\tb\t1\n\n",
+        "a\tb\t1\r\n",
+        "a\tb\t1",
+    ],
+)
+def test_graph_tsv_rejects_what_no_writer_writes(tmp_path, text):
+    path = tmp_path / "graph.tsv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:\d+: "):
+        read_graph_tsv(path)
+
+
+def test_graph_writer_refuses_what_the_reader_cannot_read_back(tmp_path):
+    path = tmp_path / "graph.tsv"
+    refused = written = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        edges = {}
+        for _ in range(rng.randint(1, 3)):
+            pair = rng.sample(("a", "b", "é", "x") + rng.choice(((), ("", "a\tb", "c\r", "d\n"))), 2)
+            if rng.random() < 0.8:
+                pair.sort()
+            edges[tuple(pair)] = rng.choice((1, 2, 3, 0, -1) if rng.random() < 0.2 else (1, 2, 3))
+        try:
+            write_graph_tsv(CooccurrenceGraph(edges), path)
+        except ValueError as exc:
+            assert str(exc).startswith("cannot write edge ")
+            refused += 1
+            continue
+        assert read_graph_tsv(path).edges == edges
+        written += 1
+    assert written > 20 and refused > 20

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 import random
 from itertools import combinations
 
@@ -10,6 +12,7 @@ from cosuggest.copra import (
     ConceptCluster,
     ConceptClusters,
     CopraConfig,
+    CopraResult,
     cluster_stats,
     copra_cluster,
     read_clusters_json,
@@ -18,11 +21,9 @@ from cosuggest.copra import (
 
 
 def _clique_graph(*cliques: tuple[str, ...]) -> CooccurrenceGraph:
-    g = CooccurrenceGraph()
-    for clique in cliques:
-        for a, b in combinations(clique, 2):
-            g.add_edge(a, b)
-    return g
+    return CooccurrenceGraph(
+        {pair: 1 for clique in cliques for pair in combinations(sorted(clique), 2)}
+    )
 
 
 def _member_sets(result):
@@ -33,8 +34,7 @@ def _member_sets(result):
 
 def test_single_edge_one_cluster():
     for seed in range(20):
-        g = CooccurrenceGraph()
-        g.add_edge("A", "B")
+        g = CooccurrenceGraph({("A", "B"): 1})
         result = copra_cluster(g, CopraConfig(v=1, seed=seed))
         assert _member_sets(result) == {("A", "B")}
         assert result.converged
@@ -80,7 +80,7 @@ def test_two_triangles_match_max_modularity_partition():
 
 def test_bridge_with_overlap_budget_two():
     g = _clique_graph(("a", "b", "c"), ("d", "e", "f"))
-    g.add_edge("c", "d")
+    g.edges["c", "d"] = 1
     result = copra_cluster(g, CopraConfig(v=2, seed=7))
     membership: dict[str, int] = {}
     for cluster in result.clusters:
@@ -107,7 +107,7 @@ def test_disjoint_cliques_recovered_for_many_seeds():
 
 def test_coefficients_sum_to_one_every_iteration():
     g = _clique_graph(("a", "b", "c", "d"), ("e", "f", "g"))
-    g.add_edge("d", "e")
+    g.edges["d", "e"] = 1
     deviations = []
 
     def check(iteration, labels):
@@ -121,11 +121,10 @@ def test_coefficients_sum_to_one_every_iteration():
 def test_every_vertex_in_at_most_v_clusters():
     rng = random.Random(9)
     for trial in range(20):
-        g = CooccurrenceGraph()
         nodes = [f"n{i}" for i in range(rng.randint(4, 12))]
-        for a, b in combinations(nodes, 2):
-            if rng.random() < 0.4:
-                g.add_edge(a, b, rng.randint(1, 4))
+        g = CooccurrenceGraph(
+            {pair: rng.randint(1, 4) for pair in combinations(nodes, 2) if rng.random() < 0.4}
+        )
         if not g.nodes:
             continue
         for v in (1, 2, 3):
@@ -164,11 +163,8 @@ def test_subset_clusters_absorbed():
     # Every cluster in the output must not be a strict subset of another.
     rng = random.Random(31)
     for trial in range(10):
-        g = CooccurrenceGraph()
         nodes = [f"n{i}" for i in range(8)]
-        for a, b in combinations(nodes, 2):
-            if rng.random() < 0.5:
-                g.add_edge(a, b)
+        g = CooccurrenceGraph({pair: 1 for pair in combinations(nodes, 2) if rng.random() < 0.5})
         if not g.nodes:
             continue
         result = copra_cluster(g, CopraConfig(v=3, seed=trial))
@@ -235,3 +231,57 @@ def test_result_converts_with_asdict():
         {"id": 1, "members": frozenset({"x", "y", "z"})},
     ]
     assert result.clusters.postings["y"] == [1]
+
+
+def _mutate_clusters(rng, payload):
+    clusters = payload["clusters"]
+    cluster = rng.choice(clusters)
+    kind = rng.randrange(8)
+    if kind == 0:
+        cluster[rng.choice(("extra", "Id", "size"))] = 1
+    elif kind == 1:
+        del cluster[rng.choice(("id", "members"))]
+    elif kind == 2:
+        cluster["id"] = rng.choice((cluster["id"] + 1, -1, True, 0.0, str(cluster["id"])))
+    elif kind == 3:
+        cluster["members"] = cluster["members"][::-1] + rng.choice(([], ["a"]))
+    elif kind == 4:
+        cluster["members"] = cluster["members"] + cluster["members"][-1:]
+    elif kind == 5:
+        cluster["members"] = rng.choice(("a", None, [1], {"a": 1}))
+    elif kind == 6:
+        clusters.reverse()
+    return json.dumps(payload, indent=rng.choice((None, 2)), sort_keys=rng.random() < 0.5)
+
+
+def test_clusters_json_reader_accepts_only_what_the_writer_writes(tmp_path):
+    path = tmp_path / "clusters.json"
+    rejected = rewritten = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
+        g = CooccurrenceGraph({pair: 1 for pair in combinations(nodes, 2) if rng.random() < 0.5})
+        if not g.edges:
+            continue
+        cfg = CopraConfig(v=rng.randint(1, 3), seed=seed)
+        result = copra_cluster(g, cfg)
+        write_clusters_json(result, cfg, path)
+        written = path.read_bytes()
+        clusters, payload = read_clusters_json(path)
+        # What the writer wrote reads back, and writes again to the same bytes.
+        result = CopraResult(clusters, payload["converged"], payload["iterations"])
+        write_clusters_json(result, CopraConfig(**payload["config"]), path)
+        assert path.read_bytes() == written
+        text = _mutate_clusters(rng, json.loads(written))
+        path.write_text(text, encoding="utf-8")
+        try:
+            clusters, _ = read_clusters_json(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}: clusters\[\d+\]: ", str(exc))
+            rejected += 1
+            continue
+        # Accepted: the clusters are the same JSON value that was read.
+        rewrite = [{"id": c.id, "members": sorted(c.members)} for c in clusters]
+        assert rewrite == json.loads(text)["clusters"]
+        rewritten += 1
+    assert rejected > 50 and rewritten > 5

@@ -1,7 +1,8 @@
 import json
 import random
+from codecs import BOM_UTF8
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from itertools import product
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import cosuggest.log_pipeline
 from cosuggest.log_pipeline import (
     TIMESTAMP_FORMAT,
+    ReducedDataset,
+    SearchSession,
     parse_log,
     parse_timestamp,
     read_reduced_ndjson,
@@ -493,7 +496,7 @@ def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
 
 
 def test_reduced_concept_sets_are_interned(tmp_path):
-    lists = [["a", "b"], ["a\tb"], ["a", "b"], [], ["b", "a"], ["a\tb"], [], ["a", "b"]]
+    lists = [["a", "b"], ["a\tb"], ["a", "b"], [], ["a", "c"], ["a\tb"], [], ["a", "b"]]
     path = tmp_path / "reduced.ndjson"
     path.write_text(
         "".join(
@@ -568,6 +571,51 @@ def test_ndjson_bytes_deterministic(tally_log, city_ontology, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _random_reduced_dataset(rng):
+    """Sessions that the writer may or may not be able to write: stamps with
+    microseconds or a time zone, sessions without queries, repeated ids."""
+    sessions = []
+    for i in range(rng.randint(1, 6)):
+        n = rng.choice((0, 1, 2, 3, 3))
+        stamps = [datetime(2006, 3, 1, 9, rng.randrange(60), rng.randrange(60)) for _ in range(n)]
+        if stamps and rng.random() < 0.15:
+            stamps[-1] = stamps[-1].replace(microsecond=rng.choice((1, 123456)))
+        if stamps and rng.random() < 0.15:
+            stamps[0] = stamps[0].replace(tzinfo=timezone.utc)
+        session_id = f"u#{rng.randrange(3) if rng.random() < 0.2 else i + 10}"
+        sessions.append(
+            SearchSession(
+                session_id,
+                "u",
+                tuple(rng.choice(NEARLY_EQUAL_TEXTS) for _ in range(n)),
+                tuple(stamps),
+                tuple(frozenset(rng.sample(("park", "beach", "a\tb"), rng.randint(0, 2))) for _ in range(n)),
+            )
+        )
+    return ReducedDataset(sessions)
+
+
+def test_reduced_writer_refuses_what_the_reader_rejects(tmp_path):
+    path = tmp_path / "reduced.ndjson"
+    reasons, written = set(), 0
+    for seed in range(300):
+        ds = _random_reduced_dataset(random.Random(seed))
+        try:
+            write_reduced_ndjson(ds, path)
+        except ValueError as exc:
+            session, reason = str(exc).split("' ", 1)
+            assert session.startswith("session 'u#")
+            reasons.add(reason)
+            continue
+        assert read_reduced_ndjson(path).sessions == ds.sessions
+        written += 1
+    assert written and reasons == {
+        "has no queries",
+        "is repeated",
+        "has a stamp with microseconds or a time zone",
+    }
+
+
 # ------------------------------------- chunked reduced reader against oracle
 
 CHUNK = cosuggest.log_pipeline._CHUNK_LINES
@@ -575,7 +623,9 @@ WRONG_VALUES = (7, None, True, 1.5, "x", "", [], {}, ["park"], [3], {"text": "pa
 ODD_STAMPS = (
     "2006-13-01 09:00:00",
     "2006-03-01T09:00:00",
-    "2006-3-1 9:0:0",  # strptime alone accepts this one
+    "2006-3-1 9:0:0",  # strptime accepts this one, but the writer never writes it
+    "2006-03-01 24:00:00",
+    "2006-03-01 09:00:00+00:00",
     "2006-03-01 09:00:00.5",
     "2006-03-01 09:00:60",
     "2006-03-01 9:00:00 ",
@@ -593,7 +643,7 @@ def _session_payload(rng, number):
             {
                 "text": rng.choice(NEARLY_EQUAL_TEXTS + ["beach"]),
                 "ts": _ts(rng.randrange(60)),
-                "concepts": rng.sample(("park", "beach", "a\tb", "museum"), rng.randint(0, 2)),
+                "concepts": sorted(rng.sample(("park", "beach", "a\tb", "museum"), rng.randint(0, 2))),
             }
             for _ in range(rng.randint(1, 3))
         ],
@@ -655,6 +705,20 @@ def _bad_stamp(rng, lines, at):
     lines[at] = _line(payload)
 
 
+def _extra_field(rng, lines, at):
+    payload = json.loads(lines[at])
+    rng.choice((payload, rng.choice(payload["queries"])))[rng.choice(("extra", "Text", "id"))] = 1
+    lines[at] = _line(payload)
+
+
+def _concepts_out_of_order(rng, lines, at):
+    payload = json.loads(lines[at])
+    query = rng.choice(payload["queries"])
+    concept = rng.choice(query["concepts"] or ["park"])
+    query["concepts"] = rng.choice(([concept, concept], ["zoo", concept], [*query["concepts"], "a"]))
+    lines[at] = _line(payload)
+
+
 def _duplicate_id(rng, lines, at):
     payload = json.loads(lines[at])
     other = rng.choice([i for i in range(len(lines)) if i != at])
@@ -697,6 +761,8 @@ MUTATIONS = {
     "no-queries": _no_queries,
     "bad-stamp": _bad_stamp,
     "duplicate-id": _duplicate_id,
+    "extra-field": _extra_field,
+    "concepts-out-of-order": _concepts_out_of_order,
     "blank-line": _blank,
     "crlf": _crlf,
     "bom": _bom,
@@ -723,6 +789,13 @@ def _assert_reads_as_oracle(path):
         assert str(got.value) == str(exc)
         return int(str(exc).removeprefix(f"{path}:").split(":", 1)[0])
     got = read_reduced_ndjson(path).sessions
+    # What the reader accepts, the writer writes back as the same JSON values.
+    again = path.with_name("again.ndjson")
+    write_reduced_ndjson(ReducedDataset(got), again)
+    lines = path.read_bytes().removeprefix(BOM_UTF8).splitlines()
+    assert [json.loads(line) for line in lines if line.strip()] == list(
+        map(json.loads, again.read_bytes().splitlines())
+    )
 
     def fields(s):
         return s.session_id, s.user_id, s.texts, s.timestamps, s.concepts

@@ -247,10 +247,10 @@ def test_strategy_members_are_stable_memo_keys():
 
 
 def test_cluster_producers_return_an_index_that_matches_the_members(tmp_path):
-    graph = CooccurrenceGraph()
-    for clique in (("a", "b", "c", "d"), ("d", "e", "f"), ("g", "h")):
-        for x, y in combinations(clique, 2):
-            graph.add_edge(x, y)
+    graph = CooccurrenceGraph(
+        {pair: 1 for clique in (("a", "b", "c", "d"), ("d", "e", "f"), ("g", "h"))
+         for pair in combinations(clique, 2)}
+    )
     cfg = CopraConfig(v=2, seed=3)
     result = copra_cluster(graph, cfg)
     path = tmp_path / "clusters.json"
