@@ -133,7 +133,7 @@ def cmd_graph(args: argparse.Namespace, config: PipelineConfig) -> int:
         raise UsageError("graph requires --reduced")
     if not config.out:
         raise UsageError("graph requires --out")
-    ds = read_reduced_ndjson(args.reduced)
+    ds = read_reduced_ndjson(args.reduced, queries=False)
     graph = prune(build_graph(ds.sessions), config.prune_min_weight)
     out = Path(config.out)
     _atomic_write(out, lambda p: write_graph_tsv(graph, p))
@@ -166,7 +166,7 @@ def cmd_cluster(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     if args.reduced:
-        ds = read_reduced_ndjson(args.reduced)
+        ds = read_reduced_ndjson(args.reduced, queries=False)
     elif config.log_path and config.ontology_path:
         ds = reduce_from_config(config)
     else:

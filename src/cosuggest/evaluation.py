@@ -85,7 +85,7 @@ def make_folds(ds: ReducedDataset, k: int, seed: int) -> list[list[SearchSession
 
 def _testable(session: SearchSession) -> bool:
     """Whether a session can be held out: it needs a context and a later query."""
-    return len(session.texts) >= 2
+    return len(session.concepts) >= 2
 
 
 def _context_and_truth(

@@ -16,7 +16,7 @@ from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from statistics import fmean, median_low, pstdev
@@ -35,7 +35,10 @@ class SearchSession:
 
     Entry i of ``texts``, ``timestamps`` and ``concepts`` belongs to the
     session's i-th query.  ``concepts`` holds each query's matched concept
-    set; it stays empty until :func:`reduce_dataset` fills it.
+    set; it stays empty until :func:`reduce_dataset` fills it.  A reduced
+    session's length is ``len(concepts)``: a concept-only read
+    (``read_reduced_ndjson(path, queries=False)``) leaves ``texts`` and
+    ``timestamps`` empty.
     """
 
     session_id: str
@@ -68,8 +71,9 @@ class ReducedDataset:
 
     @property
     def stats(self) -> SourceStats:
+        """Query, session and user counts; a session's queries are its concept sets."""
         return SourceStats(
-            queries=sum(len(s.texts) for s in self.sessions),
+            queries=sum(len(s.concepts) for s in self.sessions),
             sessions=len(self.sessions),
             users=len({s.user_id for s in self.sessions}),
         )
@@ -216,10 +220,11 @@ class LengthStats:
 
 
 def session_length_stats(ds: ReducedDataset) -> LengthStats:
-    """Distribution of session lengths; population stdev; errors on empty data."""
+    """Distribution of session lengths (``len(concepts)``); population stdev;
+    errors on empty data."""
     if not ds.sessions:
         raise ValueError("cannot compute length statistics of an empty dataset")
-    lengths = [len(s.texts) for s in ds.sessions]
+    lengths = [len(s.concepts) for s in ds.sessions]
     return LengthStats(
         min=min(lengths),
         max=max(lengths),
@@ -235,8 +240,16 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
 
     A session that :func:`read_reduced_ndjson` would reject raises
     ``ValueError`` naming it: no queries, a repeated id, or a timestamp with
-    microseconds or a time zone.
+    microseconds or a time zone.  A session whose three query columns differ
+    in length, as one of a concept-only read does, raises before anything is
+    written.
     """
+    for session in ds.sessions:
+        if not len(session.texts) == len(session.timestamps) == len(session.concepts):
+            raise ValueError(
+                f"session {session.session_id!r} has {len(session.texts)} texts, "
+                f"{len(session.timestamps)} stamps and {len(session.concepts)} concept sets"
+            )
     seen: set[str] = set()
     with open(path, "w", encoding="utf-8") as handle:
         for session in ds.sessions:
@@ -270,21 +283,27 @@ _scan_json = json.JSONDecoder().scan_once
 _STAMP_SEPARATORS = ((4, "-"), (7, "-"), (10, " "), (13, ":"), (16, ":"))
 
 
-def _string_column(rows: list[dict], key: str) -> list[str]:
-    """``row[key]`` of each row; each must be a string."""
-    column = list(map(itemgetter(key), rows))
+def _joined(column: list, key: str) -> str:
+    """The column's values joined in one pass in C; each must be a string."""
     try:
-        "".join(column)  # one pass in C, failing on a non-string
+        return "".join(column)
     except TypeError:
         bad = next(value for value in column if type(value) is not str)
         raise ValueError(f"{key} must be a string, got {bad!r}") from None
+
+
+def _string_column(rows: list[dict], key: str) -> list[str]:
+    """``row[key]`` of each row; each must be a string."""
+    column = list(map(itemgetter(key), rows))
+    _joined(column, key)
     return column
 
 
-def _parse_stamps(stamps: list[str]) -> tuple[datetime, ...]:
-    """The stamps, each of the writer's ``YYYY-MM-DD HH:MM:SS`` shape, in one
-    ``datetime.fromisoformat`` pass."""
-    joined = "".join(stamps)
+def _parse_stamps(queries: list[dict]) -> tuple[datetime, ...]:
+    """The queries' ``ts`` strings, each of the writer's ``YYYY-MM-DD HH:MM:SS``
+    shape, in one ``datetime.fromisoformat`` pass."""
+    stamps = list(map(itemgetter("ts"), queries))
+    joined = _joined(stamps, "ts")
     try:
         if {19}.issuperset(map(len, stamps)) and all(
             joined[offset::19] == separator * len(stamps)
@@ -301,6 +320,7 @@ def _chunk_sessions(
     seen: set[str],
     interned: dict[tuple[str, ...], frozenset[str]],
     strings: dict[str, str],
+    keep_queries: bool,
 ) -> list[SearchSession]:
     """The sessions of raw reduced-file lines, checked a column at a time.
 
@@ -312,6 +332,10 @@ def _chunk_sessions(
     texts, stamps, concepts, unexpected query fields, the concepts' order,
     and last a repeated id), so for a single line with one fault the message
     names that fault.
+
+    Without ``keep_queries`` every check still runs, but each session gets
+    empty ``texts`` and ``timestamps``, and no query text goes into
+    ``strings``.
     """
     payloads = []
     for line in map(str.strip, map(bytes.decode, lines)):
@@ -338,7 +362,7 @@ def _chunk_sessions(
     if not {dict}.issuperset(map(type, queries)):
         raise ValueError("each query must be a JSON object")
     texts = _string_column(queries, "text")
-    timestamps = _parse_stamps(_string_column(queries, "ts"))
+    timestamps = _parse_stamps(queries)
     lists = list(map(itemgetter("concepts"), queries))
     if not {3}.issuperset(map(len, queries)):
         raise ValueError("a query has only the fields concepts, text and ts")
@@ -365,25 +389,25 @@ def _chunk_sessions(
     concepts = tuple(map(interned.__getitem__, keys))
     share = strings.setdefault
     users = list(map(share, users, users))
-    texts = tuple(map(share, texts, texts))
     ends = list(accumulate(map(len, per_session)))
     spans = list(map(slice, chain((0,), ends), ends))
-    sessions = list(
-        map(
-            SearchSession,
-            ids,
-            users,
-            map(texts.__getitem__, spans),
-            map(timestamps.__getitem__, spans),
-            map(concepts.__getitem__, spans),
-        )
-    )
+    if keep_queries:
+        texts = tuple(map(share, texts, texts))
+        columns = (map(texts.__getitem__, spans), map(timestamps.__getitem__, spans))
+    else:
+        columns = (repeat(()), repeat(()))
+    sessions = list(map(SearchSession, ids, users, *columns, map(concepts.__getitem__, spans)))
     seen.update(ids)
     return sessions
 
 
-def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
+def read_reduced_ndjson(path: str | Path, *, queries: bool = True) -> ReducedDataset:
     """Inverse of :func:`write_reduced_ndjson`, accepting exactly the sessions it writes.
+
+    With ``queries=False`` each session keeps its id, user and concept sets
+    only, and ``texts == timestamps == ()``; session lengths and counts come
+    from ``concepts``.  Every check still runs, so such a read accepts and
+    rejects exactly the files a full read does, with the same messages.
 
     The rule holds per JSON value: whitespace, escapes and key order inside
     a line are not checked.  Any other line, bytes that are not UTF-8
@@ -398,7 +422,7 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    strings: dict[str, str] = {}  # each user id or query text -> the first equal string seen
+    strings: dict[str, str] = {}  # each user id or kept query text -> the first equal string seen
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
         if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
             handle.read(len(BOM_UTF8))
@@ -407,11 +431,11 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
             if not chunk:
                 break
             try:
-                sessions += _chunk_sessions(chunk, seen, interned, strings)
+                sessions += _chunk_sessions(chunk, seen, interned, strings, queries)
             except (KeyError, TypeError, ValueError, RecursionError):
                 for lineno, line in enumerate(chunk, start=first):
                     try:
-                        sessions += _chunk_sessions([line], seen, interned, strings)
+                        sessions += _chunk_sessions([line], seen, interned, strings, queries)
                     except KeyError as exc:
                         raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
                     except (TypeError, ValueError, RecursionError) as exc:

@@ -22,7 +22,8 @@ from cosuggest.config import (
 )
 from cosuggest.cooccurrence import read_graph_tsv
 from cosuggest.copra import read_clusters_json
-from cosuggest.log_pipeline import parse_log, read_reduced_ndjson
+from cosuggest.evaluation import make_folds
+from cosuggest.log_pipeline import parse_log, read_reduced_ndjson, session_length_stats
 from cosuggest.matching import load_lexicon
 from cosuggest.ontology import load_ontology
 
@@ -905,6 +906,38 @@ def test_leading_byte_order_mark_is_dropped(demo_inputs, tmp_path, reader, name)
     marked = tmp_path / name
     marked.write_bytes(BOM_UTF8 + (demo_inputs / name).read_bytes())
     assert reader(marked) == reader(demo_inputs / name)
+
+
+@pytest.mark.parametrize("command, out", [("eval", "report.json"), ("graph", "graph.tsv")])
+def test_eval_and_graph_read_the_reduced_file_once_without_queries(
+    demo_inputs, tmp_path, monkeypatch, capsys, command, out
+):
+    # The read is the benchmark's set-up mark of `eval --reduced`: one call.
+    read, calls = cosuggest.cli.read_reduced_ndjson, []
+
+    def recorded(*args, **kwargs):
+        calls.append(read(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cosuggest.cli, "read_reduced_ndjson", recorded)
+    reduced = str(demo_inputs / "reduced.ndjson")
+    assert main([command, "--reduced", reduced, "--out", str(tmp_path / out)]) == 0
+    [dataset] = calls
+    assert dataset.sessions
+    assert {(s.texts, s.timestamps) for s in dataset.sessions} == {((), ())}
+
+
+def test_concept_only_read_measures_the_demo_dataset_alike(demo_inputs):
+    full = read_reduced_ndjson(demo_inputs / "reduced.ndjson")
+    lean = read_reduced_ndjson(demo_inputs / "reduced.ndjson", queries=False)
+    assert lean.stats == full.stats
+    assert session_length_stats(lean) == session_length_stats(full)
+
+    def fold_ids(ds, k, seed):
+        return [[s.session_id for s in fold] for fold in make_folds(ds, k, seed)]
+
+    for k, seed in ((3, 42), (5, 7)):
+        assert fold_ids(lean, k, seed) == fold_ids(full, k, seed)
 
 
 # ------------------------------------------------------ garbage collector

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 from codecs import BOM_UTF8
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -616,6 +618,70 @@ def test_reduced_writer_refuses_what_the_reader_rejects(tmp_path):
     }
 
 
+def test_reduced_writer_refuses_a_concept_only_dataset(tally_log, city_ontology, tmp_path):
+    matcher = ConceptMatcher.from_ontology(city_ontology)
+    full = reduce_dataset(split_sessions(parse_log(tally_log).records, GAP_30), matcher).sessions
+    path, out = tmp_path / "reduced.ndjson", tmp_path / "again.ndjson"
+    write_reduced_ndjson(ReducedDataset(full), path)
+    lean = read_reduced_ndjson(path, queries=False).sessions
+    # Also after sessions that it could write, the writer writes nothing.
+    for sessions, bad in ((lean, lean[0]), (full + lean[-1:], lean[-1])):
+        with pytest.raises(ValueError) as exc:
+            write_reduced_ndjson(ReducedDataset(sessions), out)
+        assert str(exc.value) == (
+            f"session {bad.session_id!r} has 0 texts, 0 stamps and {len(bad.concepts)} concept sets"
+        )
+        assert not out.exists()
+
+
+def _traced_size(read):
+    """The bytes that ``read()``'s result holds, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        dataset = read()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dataset.sessions
+    return size
+
+
+# On this file a concept-only read held 52% of a full read's traced bytes
+# (CPython 3.10, 3.11 and 3.13, also with -X dev); the bound leaves room.
+CONCEPT_ONLY_SHARE = 0.6
+
+
+def test_concept_only_read_holds_a_share_of_a_full_read(tmp_path):
+    rng = random.Random(27)
+    words = [f"w{i}" for i in range(400)]
+    concepts = [f"c{i:02d}" for i in range(60)]
+    path = tmp_path / "reduced.ndjson"
+    path.write_bytes(
+        b"".join(
+            _line(
+                {
+                    "session_id": f"u{i // 3}#{i % 3 + 1}",
+                    "user": f"u{i // 3}",
+                    "queries": [
+                        {
+                            "text": " ".join(rng.choices(words, k=rng.randint(1, 4))),
+                            "ts": _ts(rng.randrange(60)),
+                            "concepts": sorted(rng.sample(concepts, rng.randint(0, 2))),
+                        }
+                        for _ in range(rng.randint(1, 6))
+                    ],
+                }
+            )
+            for i in range(2000)
+        )
+    )
+    read_reduced_ndjson(path)  # module-level caches are not the dataset's
+    full = _traced_size(lambda: read_reduced_ndjson(path))
+    lean = _traced_size(lambda: read_reduced_ndjson(path, queries=False))
+    assert lean <= CONCEPT_ONLY_SHARE * full
+
+
 # ------------------------------------- chunked reduced reader against oracle
 
 CHUNK = cosuggest.log_pipeline._CHUNK_LINES
@@ -779,14 +845,16 @@ def _sharing(values):
 
 
 def _assert_reads_as_oracle(path):
-    """Checks the reader against the oracle; returns the number of the line
-    that both reject, or None when both accept the file."""
+    """Checks the reader, full and then concept-only, against the oracle;
+    returns the number of the line that all reject, or None when all accept
+    the file."""
     try:
         expected = read_reduced_per_line(path).sessions
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            read_reduced_ndjson(path)
-        assert str(got.value) == str(exc)
+        for queries in (True, False):
+            with pytest.raises(ValueError) as got:
+                read_reduced_ndjson(path, queries=queries)
+            assert str(got.value) == str(exc)
         return int(str(exc).removeprefix(f"{path}:").split(":", 1)[0])
     got = read_reduced_ndjson(path).sessions
     # What the reader accepts, the writer writes back as the same JSON values.
@@ -804,6 +872,18 @@ def _assert_reads_as_oracle(path):
     for column in (lambda s: (s.user_id, *s.texts), lambda s: s.concepts):
         assert _sharing([v for s in got for v in column(s)]) == _sharing(
             [v for s in expected for v in column(s)]
+        )
+
+    # A concept-only read keeps the full read's ids, users and concept sets,
+    # shared alike, and nothing of the queries.
+    lean = read_reduced_ndjson(path, queries=False).sessions
+    assert [(s.session_id, s.user_id, s.concepts) for s in lean] == [
+        (s.session_id, s.user_id, s.concepts) for s in got
+    ]
+    assert {(s.texts, s.timestamps) for s in lean} <= {((), ())}
+    for column in (lambda s: (s.user_id,), lambda s: s.concepts):
+        assert _sharing([v for s in lean for v in column(s)]) == _sharing(
+            [v for s in got for v in column(s)]
         )
     return None
 
@@ -849,9 +929,10 @@ def test_chunked_reader_matches_per_line_oracle(tmp_path, chunk_calls, mutation,
         path.write_bytes(data)
         chunk_calls.clear()
         bad_line = _assert_reads_as_oracle(path)
-        # Only the chunk that holds the bad line is checked again line by line.
+        # Only the chunk that holds the bad line is checked again line by line,
+        # by the full read and then by the concept-only read.
         n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # a blank last line may be gone
-        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line)
+        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line) * 2
 
 
 def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, chunk_calls):
