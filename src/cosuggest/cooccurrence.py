@@ -131,8 +131,8 @@ def read_graph_tsv(path: str | Path) -> CooccurrenceGraph:
                     raise ValueError(f"expected ids '' < a < b after pair {last}, got {(a, b)}")
                 if not (w.isascii() and w.isdigit() and w[0] != "0"):
                     raise ValueError(f"weight must be a positive integer, got {w!r}")
+                edges[a, b] = int(w)  # past sys.get_int_max_str_digits() raises ValueError
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            edges[a, b] = int(w)
             last = (a, b)
     return CooccurrenceGraph(edges)

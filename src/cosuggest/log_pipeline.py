@@ -35,10 +35,9 @@ class SearchSession:
 
     Entry i of ``texts``, ``timestamps`` and ``concepts`` belongs to the
     session's i-th query.  ``concepts`` holds each query's matched concept
-    set; it stays empty until :func:`reduce_dataset` fills it.  A reduced
-    session's length is ``len(concepts)``: a concept-only read
-    (``read_reduced_ndjson(path, queries=False)``) leaves ``texts`` and
-    ``timestamps`` empty.
+    set; it stays empty until :func:`reduce_dataset` fills it.  A session
+    read by :func:`read_reduced_ndjson` has empty ``texts`` and
+    ``timestamps``, so a reduced session's length is ``len(concepts)``.
     """
 
     session_id: str
@@ -239,34 +238,34 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
     """One session per line: {"session_id", "user", "queries": [{"text","ts","concepts"}]}.
 
     A session that :func:`read_reduced_ndjson` would reject raises
-    ``ValueError`` naming it: no queries, a repeated id, or a timestamp with
-    microseconds or a time zone.  A session whose three query columns differ
-    in length, as one of a concept-only read does, raises before anything is
-    written.
+    ``ValueError`` naming it, before anything is written: query columns of
+    different lengths (a session that :func:`read_reduced_ndjson` gives has
+    no texts or stamps), no queries, a repeated id, or a timestamp with
+    microseconds or a time zone.
     """
+    seen: set[str] = set()
     for session in ds.sessions:
+        sid = session.session_id
         if not len(session.texts) == len(session.timestamps) == len(session.concepts):
             raise ValueError(
-                f"session {session.session_id!r} has {len(session.texts)} texts, "
+                f"session {sid!r} has {len(session.texts)} texts, "
                 f"{len(session.timestamps)} stamps and {len(session.concepts)} concept sets"
             )
-    seen: set[str] = set()
+        if not session.texts:
+            raise ValueError(f"session {sid!r} has no queries")
+        if sid in seen:
+            raise ValueError(f"session {sid!r} is repeated")
+        # isoformat(" ") is YYYY-MM-DD HH:MM:SS exactly for these stamps.
+        if not all(ts.microsecond == 0 and ts.utcoffset() is None for ts in session.timestamps):
+            raise ValueError(f"session {sid!r} has a stamp with microseconds or a time zone")
+        seen.add(sid)
     with open(path, "w", encoding="utf-8") as handle:
         for session in ds.sessions:
-            sid = session.session_id
-            stamps = [ts.isoformat(" ") for ts in session.timestamps]
             queries = [
-                {"text": text, "ts": ts, "concepts": sorted(cset)}
-                for text, ts, cset in zip(session.texts, stamps, session.concepts)
+                {"text": text, "ts": ts.isoformat(" "), "concepts": sorted(cset)}
+                for text, ts, cset in zip(session.texts, session.timestamps, session.concepts)
             ]
-            if not queries:
-                raise ValueError(f"session {sid!r} has no queries")
-            if sid in seen:
-                raise ValueError(f"session {sid!r} is repeated")
-            if len("".join(stamps)) != 19 * len(stamps):  # YYYY-MM-DD HH:MM:SS is 19 long
-                raise ValueError(f"session {sid!r} has a stamp with microseconds or a time zone")
-            seen.add(sid)
-            payload = {"session_id": sid, "user": session.user_id, "queries": queries}
+            payload = {"session_id": session.session_id, "user": session.user_id, "queries": queries}
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
@@ -299,9 +298,9 @@ def _string_column(rows: list[dict], key: str) -> list[str]:
     return column
 
 
-def _parse_stamps(queries: list[dict]) -> tuple[datetime, ...]:
-    """The queries' ``ts`` strings, each of the writer's ``YYYY-MM-DD HH:MM:SS``
-    shape, in one ``datetime.fromisoformat`` pass."""
+def _check_stamps(queries: list[dict]) -> None:
+    """Each query's ``ts`` is a string of the writer's ``YYYY-MM-DD HH:MM:SS``
+    shape and a valid time, checked in one ``datetime.fromisoformat`` pass."""
     stamps = list(map(itemgetter("ts"), queries))
     joined = _joined(stamps, "ts")
     try:
@@ -309,7 +308,8 @@ def _parse_stamps(queries: list[dict]) -> tuple[datetime, ...]:
             joined[offset::19] == separator * len(stamps)
             for offset, separator in _STAMP_SEPARATORS
         ):
-            return tuple(map(datetime.fromisoformat, stamps))
+            list(map(datetime.fromisoformat, stamps))
+            return
     except ValueError:  # not a valid time
         pass
     raise ValueError(f"ts must be YYYY-MM-DD HH:MM:SS times, got {stamps!r}")
@@ -320,7 +320,6 @@ def _chunk_sessions(
     seen: set[str],
     interned: dict[tuple[str, ...], frozenset[str]],
     strings: dict[str, str],
-    keep_queries: bool,
 ) -> list[SearchSession]:
     """The sessions of raw reduced-file lines, checked a column at a time.
 
@@ -331,11 +330,7 @@ def _chunk_sessions(
     ``user``, ``queries``, unexpected session fields, the query objects,
     texts, stamps, concepts, unexpected query fields, the concepts' order,
     and last a repeated id), so for a single line with one fault the message
-    names that fault.
-
-    Without ``keep_queries`` every check still runs, but each session gets
-    empty ``texts`` and ``timestamps``, and no query text goes into
-    ``strings``.
+    names that fault.  Texts and stamps are checked but not kept.
     """
     payloads = []
     for line in map(str.strip, map(bytes.decode, lines)):
@@ -361,8 +356,8 @@ def _chunk_sessions(
     queries = list(chain.from_iterable(per_session))
     if not {dict}.issuperset(map(type, queries)):
         raise ValueError("each query must be a JSON object")
-    texts = _string_column(queries, "text")
-    timestamps = _parse_stamps(queries)
+    _string_column(queries, "text")
+    _check_stamps(queries)
     lists = list(map(itemgetter("concepts"), queries))
     if not {3}.issuperset(map(len, queries)):
         raise ValueError("a query has only the fields concepts, text and ts")
@@ -387,33 +382,26 @@ def _chunk_sessions(
 
     interned.update(zip(fresh, map(frozenset, fresh)))
     concepts = tuple(map(interned.__getitem__, keys))
-    share = strings.setdefault
-    users = list(map(share, users, users))
+    users = list(map(strings.setdefault, users, users))
     ends = list(accumulate(map(len, per_session)))
     spans = list(map(slice, chain((0,), ends), ends))
-    if keep_queries:
-        texts = tuple(map(share, texts, texts))
-        columns = (map(texts.__getitem__, spans), map(timestamps.__getitem__, spans))
-    else:
-        columns = (repeat(()), repeat(()))
-    sessions = list(map(SearchSession, ids, users, *columns, map(concepts.__getitem__, spans)))
+    empty = repeat(())
+    sessions = list(map(SearchSession, ids, users, empty, empty, map(concepts.__getitem__, spans)))
     seen.update(ids)
     return sessions
 
 
-def read_reduced_ndjson(path: str | Path, *, queries: bool = True) -> ReducedDataset:
-    """Inverse of :func:`write_reduced_ndjson`, accepting exactly the sessions it writes.
+def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
+    """The sessions of a file that :func:`write_reduced_ndjson` writes, and of no other.
 
-    With ``queries=False`` each session keeps its id, user and concept sets
-    only, and ``texts == timestamps == ()``; session lengths and counts come
-    from ``concepts``.  Every check still runs, so such a read accepts and
-    rejects exactly the files a full read does, with the same messages.
-
+    Each session keeps its id, user and concept sets, and ``texts ==
+    timestamps == ()``: every text and stamp is checked, but the program
+    reads only the concepts, so session lengths and counts come from them.
     The rule holds per JSON value: whitespace, escapes and key order inside
     a line are not checked.  Any other line, bytes that are not UTF-8
     included, raises ``ValueError`` naming ``path:line``.  A leading UTF-8
     byte order mark is dropped.  Equal concept lists share one set, and
-    equal user ids and query texts share one string object.
+    equal user ids share one string object.
 
     Lines are read ``_CHUNK_LINES`` at a time, and each chunk is checked a
     column at a time; a chunk with a fault is checked again one line at a
@@ -422,7 +410,7 @@ def read_reduced_ndjson(path: str | Path, *, queries: bool = True) -> ReducedDat
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    strings: dict[str, str] = {}  # each user id or kept query text -> the first equal string seen
+    strings: dict[str, str] = {}  # each user id -> the first equal string seen
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
         if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
             handle.read(len(BOM_UTF8))
@@ -431,11 +419,11 @@ def read_reduced_ndjson(path: str | Path, *, queries: bool = True) -> ReducedDat
             if not chunk:
                 break
             try:
-                sessions += _chunk_sessions(chunk, seen, interned, strings, queries)
+                sessions += _chunk_sessions(chunk, seen, interned, strings)
             except (KeyError, TypeError, ValueError, RecursionError):
                 for lineno, line in enumerate(chunk, start=first):
                     try:
-                        sessions += _chunk_sessions([line], seen, interned, strings, queries)
+                        sessions += _chunk_sessions([line], seen, interned, strings)
                     except KeyError as exc:
                         raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
                     except (TypeError, ValueError, RecursionError) as exc:

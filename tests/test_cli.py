@@ -434,6 +434,9 @@ def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     broken.write_text('{"folds": 2,\n', encoding="utf-8")
     assert main(["eval", "--config", str(broken), "--log", str(log_file)]) == 2
     assert f"cannot parse config file {broken}: " in capsys.readouterr().err
+    broken.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert main(["eval", "--config", str(broken), "--log", str(log_file)]) == 2
+    assert f"cannot parse config file {broken}: Exceeds the limit" in capsys.readouterr().err
     not_utf8 = tmp_path / "run.ini"
     not_utf8.write_bytes(b"folds=2\n" * 1200 + b"seed=\xff\n")
     assert main(["eval", "--config", str(not_utf8), "--log", str(log_file)]) == 2
@@ -792,6 +795,12 @@ def _with_class(*extra):
              "--out", "{tmp}/reduced.ndjson", "--lexicon"],
             ("cannot parse lexicon file {path}: ",),
         ),
+        (
+            "long_weight.tsv",
+            "beach\tpark\t" + "1" * 5000 + "\n",
+            ["cluster", "--out", "{tmp}/clusters.json", "--graph"],
+            ":1: Exceeds the limit",
+        ),
     ],
     ids=[
         "reduced-missing-queries",
@@ -837,6 +846,7 @@ def _with_class(*extra):
         "clusters-deep-nesting",
         "ontology-deep-nesting",
         "lexicon-deep-nesting",
+        "graph-weight-past-the-integer-digit-limit",
     ],
 )
 def test_malformed_artifact_exits_1_with_location(
@@ -928,8 +938,16 @@ def test_eval_and_graph_read_the_reduced_file_once_without_queries(
 
 
 def test_concept_only_read_measures_the_demo_dataset_alike(demo_inputs):
-    full = read_reduced_ndjson(demo_inputs / "reduced.ndjson")
-    lean = read_reduced_ndjson(demo_inputs / "reduced.ndjson", queries=False)
+    full = cosuggest.evaluation.reduce_from_config(
+        PipelineConfig(
+            log_path=str(DATA / "search_log.tsv"),
+            ontology_path=str(DATA / "city_ontology.json"),
+            lexicon_path=str(DATA / "lexicon.json"),
+        )
+    )
+    lean = read_reduced_ndjson(demo_inputs / "reduced.ndjson")
+    assert {(s.texts, s.timestamps) for s in lean.sessions} == {((), ())}
+    assert all(s.texts for s in full.sessions)
     assert lean.stats == full.stats
     assert session_length_stats(lean) == session_length_stats(full)
 

@@ -477,11 +477,13 @@ def test_ndjson_roundtrip(tally_log, city_ontology, tmp_path):
     out = tmp_path / "reduced.ndjson"
     write_reduced_ndjson(ds, out)
     loaded = read_reduced_ndjson(out)
-    assert [s.session_id for s in loaded.sessions] == [s.session_id for s in ds.sessions]
-    assert [s.concepts for s in loaded.sessions] == [s.concepts for s in ds.sessions]
+    assert [(s.session_id, s.user_id, s.concepts) for s in loaded.sessions] == [
+        (s.session_id, s.user_id, s.concepts) for s in ds.sessions
+    ]
+    assert {(s.texts, s.timestamps) for s in loaded.sessions} == {((), ())}
     assert loaded.stats == ds.stats
-    # Query texts and timestamps survive the round trip too.
-    assert loaded.sessions == ds.sessions
+    # Query texts and timestamps survive the round trip too, as the oracle reads them.
+    assert read_reduced_per_line(out).sessions == ds.sessions
 
 
 def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
@@ -493,8 +495,9 @@ def test_ndjson_roundtrip_before_year_1000(city_ontology, tmp_path):
     out = tmp_path / "reduced.ndjson"
     write_reduced_ndjson(ds, out)
     assert json.loads(out.read_text(encoding="utf-8"))["queries"][0]["ts"] == "0999-01-02 03:04:05"
-    loaded = read_reduced_ndjson(out)
-    assert loaded.sessions[0].timestamps == (datetime(999, 1, 2, 3, 4, 5),)
+    assert read_reduced_per_line(out).sessions == ds.sessions
+    assert ds.sessions[0].timestamps == (datetime(999, 1, 2, 3, 4, 5),)
+    assert read_reduced_ndjson(out).sessions[0].concepts == ds.sessions[0].concepts
 
 
 def test_reduced_concept_sets_are_interned(tmp_path):
@@ -557,11 +560,12 @@ def test_reduced_user_ids_and_texts_are_shared(tmp_path):
     path = tmp_path / "reduced.ndjson"
     path.write_text("".join(json.dumps(s) + "\n" for s in sessions), encoding="utf-8")
     got = read_reduced_ndjson(path).sessions
-    assert [(s.user_id, list(s.texts)) for s in got] == [
-        (s["user"], [q["text"] for q in s["queries"]]) for s in sessions
-    ]
+    assert [s.user_id for s in got] == [s["user"] for s in sessions]
     _assert_one_object_per_value([s.user_id for s in got])
-    _assert_one_object_per_value([text for s in got for text in s.texts])
+    # The reader keeps no texts; the oracle, which the round trips read through, shares them.
+    oracle = read_reduced_per_line(path).sessions
+    assert [list(s.texts) for s in oracle] == [[q["text"] for q in s["queries"]] for s in sessions]
+    _assert_one_object_per_value([text for s in oracle for text in s.texts])
 
 
 def test_ndjson_bytes_deterministic(tally_log, city_ontology, tmp_path):
@@ -608,8 +612,13 @@ def test_reduced_writer_refuses_what_the_reader_rejects(tmp_path):
             session, reason = str(exc).split("' ", 1)
             assert session.startswith("session 'u#")
             reasons.add(reason)
+            assert not path.exists()  # refused before anything is written
             continue
-        assert read_reduced_ndjson(path).sessions == ds.sessions
+        assert read_reduced_per_line(path).sessions == ds.sessions
+        assert [s.concepts for s in read_reduced_ndjson(path).sessions] == [
+            s.concepts for s in ds.sessions
+        ]
+        path.unlink()
         written += 1
     assert written and reasons == {
         "has no queries",
@@ -623,7 +632,7 @@ def test_reduced_writer_refuses_a_concept_only_dataset(tally_log, city_ontology,
     full = reduce_dataset(split_sessions(parse_log(tally_log).records, GAP_30), matcher).sessions
     path, out = tmp_path / "reduced.ndjson", tmp_path / "again.ndjson"
     write_reduced_ndjson(ReducedDataset(full), path)
-    lean = read_reduced_ndjson(path, queries=False).sessions
+    lean = read_reduced_ndjson(path).sessions
     # Also after sessions that it could write, the writer writes nothing.
     for sessions, bad in ((lean, lean[0]), (full + lean[-1:], lean[-1])):
         with pytest.raises(ValueError) as exc:
@@ -647,8 +656,9 @@ def _traced_size(read):
     return size
 
 
-# On this file a concept-only read held 52% of a full read's traced bytes
-# (CPython 3.10, 3.11 and 3.13, also with -X dev); the bound leaves room.
+# On this file the reader held 53% of the traced bytes of the oracle's read,
+# which keeps texts and stamps (CPython 3.10, 3.11 and 3.13, also with
+# -X dev); the bound leaves room.
 CONCEPT_ONLY_SHARE = 0.6
 
 
@@ -677,8 +687,9 @@ def test_concept_only_read_holds_a_share_of_a_full_read(tmp_path):
         )
     )
     read_reduced_ndjson(path)  # module-level caches are not the dataset's
-    full = _traced_size(lambda: read_reduced_ndjson(path))
-    lean = _traced_size(lambda: read_reduced_ndjson(path, queries=False))
+    read_reduced_per_line(path)
+    full = _traced_size(lambda: read_reduced_per_line(path))
+    lean = _traced_size(lambda: read_reduced_ndjson(path))
     assert lean <= CONCEPT_ONLY_SHARE * full
 
 
@@ -845,45 +856,33 @@ def _sharing(values):
 
 
 def _assert_reads_as_oracle(path):
-    """Checks the reader, full and then concept-only, against the oracle;
-    returns the number of the line that all reject, or None when all accept
-    the file."""
+    """Checks the reader against the oracle; returns the number of the line
+    that both reject, or None when both accept the file."""
     try:
         expected = read_reduced_per_line(path).sessions
     except ValueError as exc:
-        for queries in (True, False):
-            with pytest.raises(ValueError) as got:
-                read_reduced_ndjson(path, queries=queries)
-            assert str(got.value) == str(exc)
+        with pytest.raises(ValueError) as got:
+            read_reduced_ndjson(path)
+        assert str(got.value) == str(exc)
         return int(str(exc).removeprefix(f"{path}:").split(":", 1)[0])
     got = read_reduced_ndjson(path).sessions
-    # What the reader accepts, the writer writes back as the same JSON values.
+    # What the oracle accepts, the writer writes back as the same JSON values.
     again = path.with_name("again.ndjson")
-    write_reduced_ndjson(ReducedDataset(got), again)
+    write_reduced_ndjson(ReducedDataset(expected), again)
     lines = path.read_bytes().removeprefix(BOM_UTF8).splitlines()
     assert [json.loads(line) for line in lines if line.strip()] == list(
         map(json.loads, again.read_bytes().splitlines())
     )
 
-    def fields(s):
-        return s.session_id, s.user_id, s.texts, s.timestamps, s.concepts
-
-    assert list(map(fields, got)) == list(map(fields, expected))
-    for column in (lambda s: (s.user_id, *s.texts), lambda s: s.concepts):
+    # The reader keeps the oracle's ids, users and concept sets, shared
+    # alike, and nothing else of the queries.
+    assert [(s.session_id, s.user_id, s.concepts) for s in got] == [
+        (s.session_id, s.user_id, s.concepts) for s in expected
+    ]
+    assert {(s.texts, s.timestamps) for s in got} <= {((), ())}
+    for column in (lambda s: (s.user_id,), lambda s: s.concepts):
         assert _sharing([v for s in got for v in column(s)]) == _sharing(
             [v for s in expected for v in column(s)]
-        )
-
-    # A concept-only read keeps the full read's ids, users and concept sets,
-    # shared alike, and nothing of the queries.
-    lean = read_reduced_ndjson(path, queries=False).sessions
-    assert [(s.session_id, s.user_id, s.concepts) for s in lean] == [
-        (s.session_id, s.user_id, s.concepts) for s in got
-    ]
-    assert {(s.texts, s.timestamps) for s in lean} <= {((), ())}
-    for column in (lambda s: (s.user_id,), lambda s: s.concepts):
-        assert _sharing([v for s in lean for v in column(s)]) == _sharing(
-            [v for s in got for v in column(s)]
         )
     return None
 
@@ -929,10 +928,9 @@ def test_chunked_reader_matches_per_line_oracle(tmp_path, chunk_calls, mutation,
         path.write_bytes(data)
         chunk_calls.clear()
         bad_line = _assert_reads_as_oracle(path)
-        # Only the chunk that holds the bad line is checked again line by line,
-        # by the full read and then by the concept-only read.
+        # Only the chunk that holds the bad line is checked again line by line.
         n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # a blank last line may be gone
-        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line) * 2
+        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line)
 
 
 def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, chunk_calls):
