@@ -99,12 +99,15 @@ def _coerce(key: str, value: object) -> object:
         return str(value)
     try:
         return int(value)
-    except ValueError:
+    except ValueError as exc:
+        if str(exc).startswith("Exceeds the limit"):  # past sys.get_int_max_str_digits()
+            raise ValueError(f"{key}: {exc}") from None
         raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Parse a JSON object or flat ``key=value`` lines into config values."""
+    """Parse a JSON object or flat ``key=value`` lines into config values; a
+    bad key or value raises ``ValueError`` naming ``path:line`` (JSON: ``path``)."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -118,7 +121,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"cannot parse config file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError(f"config file {path} must contain a JSON object")
-        raw_items = payload.items()
+        raw_items = [(path, key, value) for key, value in payload.items()]
     else:
         raw_items = []
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -128,11 +131,14 @@ def load_config_file(path: str | Path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            raw_items.append((key.strip(), value.strip()))
-    for key, value in raw_items:
+            raw_items.append((f"{path}:{lineno}", key.strip(), value.strip()))
+    for where, key, value in raw_items:
         if key not in FIELD_NAMES:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, value)
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        try:
+            values[key] = _coerce(key, value)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     return values
 
 
@@ -145,7 +151,10 @@ def env_overrides(environ: dict[str, str] | None = None) -> dict:
             continue
         field = key[len(ENV_PREFIX):].lower()
         if field in FIELD_NAMES:
-            values[field] = _coerce(field, value)
+            try:
+                values[field] = _coerce(field, value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
     return values
 
 

@@ -16,7 +16,7 @@ from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from statistics import fmean, median_low, pstdev
@@ -29,6 +29,18 @@ TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 LOG_HEADER = ("AnonID", "Query", "QueryTime", "ItemRank", "ClickURL")
 
 
+def _padded_time(text: str) -> datetime | None:
+    """The time of a stamp of exactly the ``YYYY-MM-DD HH:MM:SS`` shape, the
+    only one the reduced writer writes, or None for any other text or an
+    invalid time."""
+    if len(text) == 19 and text[4::3] == "-- ::":
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class SearchSession:
     """A user's time-contiguous queries as aligned columns, sorted by timestamp.
@@ -37,7 +49,9 @@ class SearchSession:
     session's i-th query.  ``concepts`` holds each query's matched concept
     set; it stays empty until :func:`reduce_dataset` fills it.  A session
     read by :func:`read_reduced_ndjson` has empty ``texts`` and
-    ``timestamps``, so a reduced session's length is ``len(concepts)``.
+    ``timestamps``: the reader checks each line's texts and stamps and
+    keeps only its concept sets, so a reduced session's length is
+    ``len(concepts)``.
     """
 
     session_id: str
@@ -81,17 +95,11 @@ class ReducedDataset:
 def parse_timestamp(text: str) -> datetime:
     """``datetime.strptime(text, TIMESTAMP_FORMAT)``, with a fast path.
 
-    A stamp of exactly the ``YYYY-MM-DD HH:MM:SS`` shape goes through
-    ``datetime.fromisoformat``; any other shape, or a stamp it rejects, goes
-    to ``strptime``, which also accepts unpadded fields and non-ASCII digits.
-    Either way the value, or the ``ValueError``, is ``strptime``'s.
+    A stamp that :func:`_padded_time` reads goes no further; any other
+    goes to ``strptime``, which also accepts unpadded fields and non-ASCII
+    digits.  Either way the value, or the ``ValueError``, is ``strptime``'s.
     """
-    if len(text) == 19 and text[4::3] == "-- ::":
-        try:
-            return datetime.fromisoformat(text)
-        except ValueError:
-            pass
-    return datetime.strptime(text, TIMESTAMP_FORMAT)
+    return _padded_time(text) or datetime.strptime(text, TIMESTAMP_FORMAT)
 
 
 def parse_log(path: str | Path) -> ParseResult:
@@ -269,126 +277,79 @@ def write_reduced_ndjson(ds: ReducedDataset, path: str | Path) -> None:
             handle.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-# Lines per chunk of the reduced reader.  One decoded chunk is held at a time:
-# chunks of 100 lines raise the peak memory of an eval run by about 0.25 MiB
-# over reading line by line, chunks of 1,000 by about 0.9 MiB.
-_CHUNK_LINES = 100
 # The json module's own C scanner: for a stripped line, scanning one value that
 # ends at the line's end succeeds exactly when ``json.loads`` does, with the
 # same value, without the wrapper's per-call cost.
 _scan_json = json.JSONDecoder().scan_once
-# Separator offsets of a YYYY-MM-DD HH:MM:SS stamp, the only shape the writer
-# writes.
-_STAMP_SEPARATORS = ((4, "-"), (7, "-"), (10, " "), (13, ":"), (16, ":"))
 
 
-def _joined(column: list, key: str) -> str:
-    """The column's values joined in one pass in C; each must be a string."""
-    try:
-        return "".join(column)
-    except TypeError:
-        bad = next(value for value in column if type(value) is not str)
-        raise ValueError(f"{key} must be a string, got {bad!r}") from None
-
-
-def _string_column(rows: list[dict], key: str) -> list[str]:
-    """``row[key]`` of each row; each must be a string."""
-    column = list(map(itemgetter(key), rows))
-    _joined(column, key)
-    return column
-
-
-def _check_stamps(queries: list[dict]) -> None:
-    """Each query's ``ts`` is a string of the writer's ``YYYY-MM-DD HH:MM:SS``
-    shape and a valid time, checked in one ``datetime.fromisoformat`` pass."""
-    stamps = list(map(itemgetter("ts"), queries))
-    joined = _joined(stamps, "ts")
-    try:
-        if {19}.issuperset(map(len, stamps)) and all(
-            joined[offset::19] == separator * len(stamps)
-            for offset, separator in _STAMP_SEPARATORS
-        ):
-            list(map(datetime.fromisoformat, stamps))
-            return
-    except ValueError:  # not a valid time
-        pass
-    raise ValueError(f"ts must be YYYY-MM-DD HH:MM:SS times, got {stamps!r}")
-
-
-def _chunk_sessions(
-    lines: list[bytes],
+def _reduced_session(
+    line: str,
     seen: set[str],
     interned: dict[tuple[str, ...], frozenset[str]],
-    strings: dict[str, str],
-) -> list[SearchSession]:
-    """The sessions of raw reduced-file lines, checked a column at a time.
+    users: dict[str, str],
+) -> SearchSession:
+    """The session of one stripped, non-blank reduced-file line.
 
-    All or none: a fault raises before ``seen``, ``interned`` or ``strings``
-    change.  A missing field raises ``KeyError``, any other fault
-    ``ValueError``, ``TypeError`` or ``RecursionError``.  The checks run in
-    the order of a line's parts (the JSON, the session object, ``session_id``,
-    ``user``, ``queries``, unexpected session fields, the query objects,
-    texts, stamps, concepts, unexpected query fields, the concepts' order,
-    and last a repeated id), so for a single line with one fault the message
+    A missing field raises ``KeyError``, any other fault ``ValueError`` or
+    ``RecursionError``.  The checks run in the order of the line's parts
+    (the JSON, the session object, ``session_id``, ``user``, ``queries``,
+    unexpected session fields, the query objects, then each query in turn:
+    its fields, text, stamp, unexpected fields, concepts, their types and
+    order; last a repeated id), so for a line with one fault the message
     names that fault.  Texts and stamps are checked but not kept.
     """
-    payloads = []
-    for line in map(str.strip, map(bytes.decode, lines)):
-        if line:
-            try:
-                payload, end = _scan_json(line, 0)
-            except StopIteration:  # no JSON value at the start of the line
-                end = None
-            if end != len(line):
-                payload = json.loads(line)  # raises the decoder's own message
-            payloads.append(payload)
-    if not {dict}.issuperset(map(type, payloads)):
+    try:
+        payload, end = _scan_json(line, 0)
+    except StopIteration:  # no JSON value at the start of the line
+        end = None
+    if end != len(line):
+        payload = json.loads(line)  # raises the decoder's own message
+    if type(payload) is not dict:
         raise ValueError("session must be a JSON object")
-    ids = _string_column(payloads, "session_id")
-    users = _string_column(payloads, "user")
-    per_session = list(map(itemgetter("queries"), payloads))
-    if not {3}.issuperset(map(len, payloads)):  # every one of the 3 fields is there
+    session_id, user = payload["session_id"], payload["user"]
+    if type(session_id) is not str:
+        raise ValueError(f"session_id must be a string, got {session_id!r}")
+    if type(user) is not str:
+        raise ValueError(f"user must be a string, got {user!r}")
+    queries = payload["queries"]
+    if len(payload) != 3:  # every one of the 3 fields is there
         raise ValueError("a session has only the fields queries, session_id and user")
-    if not {list}.issuperset(map(type, per_session)):
+    if type(queries) is not list:
         raise ValueError("queries must be a list")
-    if not all(per_session):
+    if not queries:
         raise ValueError("session has no queries")
-    queries = list(chain.from_iterable(per_session))
     if not {dict}.issuperset(map(type, queries)):
         raise ValueError("each query must be a JSON object")
-    _string_column(queries, "text")
-    _check_stamps(queries)
-    lists = list(map(itemgetter("concepts"), queries))
-    if not {3}.issuperset(map(len, queries)):
-        raise ValueError("a query has only the fields concepts, text and ts")
-    if not {list}.issuperset(map(type, lists)):
-        raise ValueError("concepts must be a list")
-    try:
-        "".join(chain.from_iterable(lists))
-    except TypeError:
-        bad = next(raw for raw in lists if not {str}.issuperset(map(type, raw)))
-        raise ValueError(f"concepts must be strings, got {bad!r}") from None
-    keys = list(map(tuple, lists))
-    fresh = set(keys).difference(interned)
-    if not all(list(key) == sorted(set(key)) for key in fresh):
-        bad = next(key for key in keys if list(key) != sorted(set(key)))
-        raise ValueError(f"concepts must be sorted and distinct, got {list(bad)!r}")
-    if len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
-        earlier: set[str] = set()
-        for session_id in ids:
-            if session_id in seen or session_id in earlier:
-                raise ValueError(f"duplicate session_id {session_id!r}")
-            earlier.add(session_id)
-
-    interned.update(zip(fresh, map(frozenset, fresh)))
-    concepts = tuple(map(interned.__getitem__, keys))
-    users = list(map(strings.setdefault, users, users))
-    ends = list(accumulate(map(len, per_session)))
-    spans = list(map(slice, chain((0,), ends), ends))
-    empty = repeat(())
-    sessions = list(map(SearchSession, ids, users, empty, empty, map(concepts.__getitem__, spans)))
-    seen.update(ids)
-    return sessions
+    concepts = []
+    for query in queries:
+        text, stamp, raw = query["text"], query["ts"], query["concepts"]
+        if type(text) is not str:
+            raise ValueError(f"text must be a string, got {text!r}")
+        if type(stamp) is not str:
+            raise ValueError(f"ts must be a string, got {stamp!r}")
+        if _padded_time(stamp) is None:
+            stamps = [q["ts"] for q in queries]
+            raise ValueError(f"ts must be YYYY-MM-DD HH:MM:SS times, got {stamps!r}")
+        if len(query) != 3:
+            raise ValueError("a query has only the fields concepts, text and ts")
+        if type(raw) is not list:
+            raise ValueError("concepts must be a list")
+        try:
+            "".join(raw)  # each concept is a string before the list is hashed
+        except TypeError:
+            raise ValueError(f"concepts must be strings, got {raw!r}") from None
+        key = tuple(raw)
+        cset = interned.get(key)
+        if cset is None:
+            if raw != sorted(set(raw)):
+                raise ValueError(f"concepts must be sorted and distinct, got {raw!r}")
+            cset = interned[key] = frozenset(key)
+        concepts.append(cset)
+    if session_id in seen:
+        raise ValueError(f"duplicate session_id {session_id!r}")
+    seen.add(session_id)
+    return SearchSession(session_id, users.setdefault(user, user), (), (), tuple(concepts))
 
 
 def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
@@ -398,34 +359,26 @@ def read_reduced_ndjson(path: str | Path) -> ReducedDataset:
     timestamps == ()``: every text and stamp is checked, but the program
     reads only the concepts, so session lengths and counts come from them.
     The rule holds per JSON value: whitespace, escapes and key order inside
-    a line are not checked.  Any other line, bytes that are not UTF-8
+    a line are not checked.  Lines are decoded and checked one at a time,
+    and the first line that breaks the rule, bytes that are not UTF-8
     included, raises ``ValueError`` naming ``path:line``.  A leading UTF-8
     byte order mark is dropped.  Equal concept lists share one set, and
     equal user ids share one string object.
-
-    Lines are read ``_CHUNK_LINES`` at a time, and each chunk is checked a
-    column at a time; a chunk with a fault is checked again one line at a
-    time, only to name the bad line.
     """
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}
-    strings: dict[str, str] = {}  # each user id -> the first equal string seen
+    users: dict[str, str] = {}  # each user id -> the first equal string seen
     with open(path, "rb") as handle:  # decoded line by line, to name the bad one
         if handle.peek(len(BOM_UTF8)).startswith(BOM_UTF8):
             handle.read(len(BOM_UTF8))
-        for first in count(1, _CHUNK_LINES):
-            chunk = list(islice(handle, _CHUNK_LINES))
-            if not chunk:
-                break
+        for lineno, raw in enumerate(handle, start=1):
             try:
-                sessions += _chunk_sessions(chunk, seen, interned, strings)
-            except (KeyError, TypeError, ValueError, RecursionError):
-                for lineno, line in enumerate(chunk, start=first):
-                    try:
-                        sessions += _chunk_sessions([line], seen, interned, strings)
-                    except KeyError as exc:
-                        raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-                    except (TypeError, ValueError, RecursionError) as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                line = raw.decode().strip()
+                if line:
+                    sessions.append(_reduced_session(line, seen, interned, users))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return ReducedDataset(sessions)

@@ -194,9 +194,9 @@ def _oracle_session(
 def read_reduced_per_line(path) -> ReducedDataset:
     """The reduced-file reader one line at a time: ``json.loads`` and the
     field-by-field checks of :func:`_oracle_session` on each line in turn.
-    The oracle for ``read_reduced_ndjson``, which checks chunks of lines a
-    column at a time: its sessions, its string and concept-set sharing, or
-    its exact ``path:line`` message."""
+    The oracle for ``read_reduced_ndjson``, which keeps only the concept
+    columns and checks one query after another: its sessions, its string
+    and concept-set sharing, or its exact ``path:line`` message."""
     sessions: list[SearchSession] = []
     seen: set[str] = set()
     interned: dict[tuple[str, ...], frozenset[str]] = {}

@@ -86,13 +86,24 @@ def test_config_file_unknown_key(tmp_path):
 def test_mistyped_config_values_name_the_key(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("folds=abc\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
+    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'") as exc:
         load_config_file(path)
-    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'"):
+    assert str(exc.value).startswith(f"{path}:1: ")
+    with pytest.raises(ValueError, match="folds must be an integer, got 'abc'") as exc:
         env_overrides({"COSUGGEST_FOLDS": "abc"})
-    path.write_text('{"excluded_facets": [1, {}]}', encoding="utf-8")
-    with pytest.raises(ValueError, match="excluded_facets must be a list of strings"):
+    assert str(exc.value).startswith("COSUGGEST_FOLDS: ")
+    # An integer past CPython's digit limit is named as such, and not echoed.
+    path.write_text("folds=2\nseed=" + "1" * 5000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="seed: Exceeds the limit") as exc:
         load_config_file(path)
+    assert str(exc.value).startswith(f"{path}:2: ") and "1" * 100 not in str(exc.value)
+    with pytest.raises(ValueError, match="seed: Exceeds the limit") as exc:
+        env_overrides({"COSUGGEST_SEED": "1" * 5000})
+    assert str(exc.value).startswith("COSUGGEST_SEED: ") and "1" * 100 not in str(exc.value)
+    path.write_text('{"excluded_facets": [1, {}]}', encoding="utf-8")
+    with pytest.raises(ValueError, match="excluded_facets must be a list of strings") as exc:
+        load_config_file(path)
+    assert str(exc.value).startswith(f"{path}: ")
     path.write_text('{"excluded_facets": ["administrative", "natural"]}', encoding="utf-8")
     assert load_config_file(path) == {"excluded_facets": ("administrative", "natural")}
 
@@ -441,6 +452,13 @@ def test_config_file_flag(ontology_file, log_file, tmp_path, capsys):
     not_utf8.write_bytes(b"folds=2\n" * 1200 + b"seed=\xff\n")
     assert main(["eval", "--config", str(not_utf8), "--log", str(log_file)]) == 2
     assert f"cannot read config file {not_utf8}: 'utf-8' codec" in capsys.readouterr().err
+    cfg.write_text("folds=2\nbogus=1\n", encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--log", str(log_file)]) == 2
+    assert f"{cfg}:2: unknown config key 'bogus'" in capsys.readouterr().err
+    cfg.write_text("seed=" + "1" * 5000 + "\n", encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--log", str(log_file)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: seed: Exceeds the limit" in err and "1" * 100 not in err
 
 
 def test_deeply_nested_config_file_exits_2(log_file, tmp_path, capsys):

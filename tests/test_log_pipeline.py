@@ -693,9 +693,8 @@ def test_concept_only_read_holds_a_share_of_a_full_read(tmp_path):
     assert lean <= CONCEPT_ONLY_SHARE * full
 
 
-# ------------------------------------- chunked reduced reader against oracle
+# ------------------------------------- reduced reader against the oracle
 
-CHUNK = cosuggest.log_pipeline._CHUNK_LINES
 WRONG_VALUES = (7, None, True, 1.5, "x", "", [], {}, ["park"], [3], {"text": "park"})
 ODD_STAMPS = (
     "2006-13-01 09:00:00",
@@ -856,15 +855,14 @@ def _sharing(values):
 
 
 def _assert_reads_as_oracle(path):
-    """Checks the reader against the oracle; returns the number of the line
-    that both reject, or None when both accept the file."""
+    """Checks the reader against the oracle; returns whether both accept the file."""
     try:
         expected = read_reduced_per_line(path).sessions
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             read_reduced_ndjson(path)
         assert str(got.value) == str(exc)
-        return int(str(exc).removeprefix(f"{path}:").split(":", 1)[0])
+        return False
     got = read_reduced_ndjson(path).sessions
     # What the oracle accepts, the writer writes back as the same JSON values.
     again = path.with_name("again.ndjson")
@@ -884,72 +882,41 @@ def _assert_reads_as_oracle(path):
         assert _sharing([v for s in got for v in column(s)]) == _sharing(
             [v for s in expected for v in column(s)]
         )
-    return None
-
-
-@pytest.fixture
-def chunk_calls(monkeypatch):
-    """The number of lines of each call that the reduced reader makes to its
-    checker, in order."""
-    calls = []
-    check = cosuggest.log_pipeline._chunk_sessions
-
-    def counted(lines, *args):
-        calls.append(len(lines))
-        return check(lines, *args)
-
-    monkeypatch.setattr(cosuggest.log_pipeline, "_chunk_sessions", counted)
-    return calls
-
-
-def _expected_chunk_calls(n_lines, bad_line=None):
-    """The line counts of the checker's calls for a file of ``n_lines``
-    lines: each chunk in turn up to the one that holds ``bad_line``, then
-    that chunk's lines one at a time up to the bad one."""
-    stop = n_lines if bad_line is None else bad_line
-    calls = [min(CHUNK, n_lines - start) for start in range(0, stop, CHUNK)]
-    if bad_line is not None:
-        calls += [1] * ((bad_line - 1) % CHUNK + 1)
-    return calls
+    return True
 
 
 @pytest.mark.parametrize("position", ["first", "chunk-end", "chunk-start", "last"])
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
-def test_chunked_reader_matches_per_line_oracle(tmp_path, chunk_calls, mutation, position):
+def test_chunked_reader_matches_per_line_oracle(tmp_path, mutation, position):
     for seed in range(7):  # 308 files over the 44 cases
         rng = random.Random(f"{mutation}/{position}/{seed}")
-        lines = [_line(_session_payload(rng, i)) for i in range(rng.randint(CHUNK + 2, 2 * CHUNK + 2))]
-        at = {"first": 0, "chunk-end": CHUNK - 1, "chunk-start": CHUNK, "last": len(lines) - 1}
+        lines = [_line(_session_payload(rng, i)) for i in range(rng.randint(102, 202))]
+        at = {"first": 0, "chunk-end": 99, "chunk-start": 100, "last": len(lines) - 1}
         MUTATIONS[mutation](rng, lines, at[position])
         if rng.random() < 0.25:
             lines[-1] = lines[-1].rstrip(b"\n")
-        data = b"".join(lines)
         path = tmp_path / f"{seed}.ndjson"
-        path.write_bytes(data)
-        chunk_calls.clear()
-        bad_line = _assert_reads_as_oracle(path)
-        # Only the chunk that holds the bad line is checked again line by line.
-        n_lines = data.count(b"\n") + (not data.endswith(b"\n"))  # a blank last line may be gone
-        assert chunk_calls == _expected_chunk_calls(n_lines, bad_line)
+        path.write_bytes(b"".join(lines))
+        _assert_reads_as_oracle(path)
 
 
-def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path, chunk_calls):
+def test_chunked_reader_reads_valid_chunks_column_wise(tmp_path):
     rng = random.Random(3)
-    for n in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK):
+    for n in (1, 99, 100, 101, 300):
         path = tmp_path / f"{n}.ndjson"
         path.write_bytes(b"".join(_line(_session_payload(rng, i)) for i in range(n)))
-        chunk_calls.clear()
         assert len(read_reduced_ndjson(path).sessions) == n
-        assert chunk_calls == _expected_chunk_calls(n)  # one call per chunk
-        assert _assert_reads_as_oracle(path) is None
+        assert _assert_reads_as_oracle(path)
 
 
 _DROP = object()
 # Two faults in one session line, each as (query index, or None for the
 # session object; key, or None for the whole query; value, or _DROP to
-# remove the key).  In the first four, the checker, which checks a column
+# remove the key).  In the first five, the oracle, which checks a column
 # of every query before the next column, meets the second fault first,
-# while a field-by-field check of one query after another meets the first.
+# while the reader, a per-query checker, meets the first in the third to
+# fifth.  In the first two it meets the second too: it checks every query's
+# type before any field, and its stamp message lists every query's stamp.
 TWO_FAULTS = {
     "bad-stamp+no-ts": ((0, "ts", "2006-13-01 09:00:00"), (1, "ts", _DROP)),
     "no-text+query-not-object": ((0, "text", _DROP), (1, None, ["text"])),
@@ -984,7 +951,7 @@ def _with_faults(faults):
 @pytest.mark.parametrize("faults", list(TWO_FAULTS))
 def test_line_with_two_faults_is_named_with_one_of_them(tmp_path, faults):
     rng = random.Random(faults)
-    lines = [_line(_session_payload(rng, i)) for i in range(2 * CHUNK + 50)]
+    lines = [_line(_session_payload(rng, i)) for i in range(250)]
     path = tmp_path / "reduced.ndjson"
 
     def messages(chosen):
